@@ -36,6 +36,7 @@ from .words import (
 )
 from .ysequences import (
     NEG,
+    PRIMARY_MAX_TERMS,
     RelatorRef,
     YSequence,
     YTerm,
@@ -219,6 +220,33 @@ def _sort_key(r: IdentityRecord) -> tuple:
     )
 
 
+def _orbit_key(s: YSequence) -> tuple:
+    """The terms of a non-empty ``s`` with every conjugator ``u_i`` replaced
+    by ``u_i u_0^-1``.
+
+    ``act(s, g)`` maps every ``u_i`` to ``u_i g``, which leaves each
+    ``u_i u_0^-1`` unchanged: a sequence and all its translates share the
+    key, and two sequences with equal keys are translates of each other.
+    """
+    back = inverse(s.terms[0].conjugator)
+    return tuple(
+        (t.relator, t.sign, free_multiply(t.conjugator, back).letters)
+        for t in s.terms
+    )
+
+
+def _translates_to_kept(c: YSequence, kept_orbits: dict, vertex_words: set) -> bool:
+    """True when ``act(c, sigma)`` is a kept form for some ``sigma`` in
+    ``vertex_words``."""
+    if c.is_empty():
+        return False
+    back = inverse(c.terms[0].conjugator)
+    return any(
+        free_multiply(back, u0).letters in vertex_words
+        for u0 in kept_orbits.get(_orbit_key(c), ())
+    )
+
+
 def simplify_identity_list(
     records: list[IdentityRecord], nf, graph: CayleyGraph
 ) -> list[IdentityRecord]:
@@ -229,22 +257,37 @@ def simplify_identity_list(
     inverse, or as a conjugate by a group element.  Only adjacent inverse
     pairs are cancelled here -- no exchange-rule search -- so the kept
     forms are exactly what the relator cycles produced.
+
+    A record is a conjugate duplicate when ``act(c, sigma)`` equals a kept
+    form ``K`` for some non-trivial vertex word ``sigma``, where ``c`` is
+    the record with adjacent pairs cancelled or its cancelled inverse.
+    (Cancelling after acting is cancelling before: right multiplication
+    by ``sigma`` is injective, so it neither makes nor breaks an inverse
+    pair.)  Rather than acting by every vertex, the kept forms are filed
+    by :func:`_orbit_key`: ``act(c, sigma) = K`` holds exactly when the
+    keys of ``c`` and ``K`` agree and ``sigma`` is the quotient
+    ``u_0(c)^-1 u_0(K)`` of their first conjugators, so the test is a key
+    lookup and one product per kept form in that orbit, and it decides
+    the same as scanning every vertex.
+
+    Records longer than ``PRIMARY_MAX_TERMS`` skip the pairing search and
+    are not primary.  A shorter record with a non-trivial boundary makes
+    the primary test raise ``WordError``.
     """
     alphabet = graph.sys.presentation.alphabet
     ordered = sorted(records, key=_sort_key)
-    kept_forms: list[YSequence] = []
-    sigma_images = [mu_inverse(v) for v in graph.vertices]
+    kept_forms: set[YSequence] = set()
+    # orbit key -> the first conjugators of the kept forms with that key
+    kept_orbits: dict[tuple, list[GroupWord]] = {}
+    vertex_words = {mu_inverse(v).letters for v in graph.vertices}
+    vertex_words.discard(())
     for rec in ordered:
         seq = rec.sequence
         rec.reduced = seq
         if seq.is_empty():
             rec.status = TRIVIAL
             continue
-        try:
-            primary = is_primary_identity(seq, nf, alphabet)
-        except WordError:
-            primary = False
-        if primary:
+        if len(seq) <= PRIMARY_MAX_TERMS and is_primary_identity(seq, nf, alphabet):
             rec.status = PRIMARY
             continue
         if seq in kept_forms:
@@ -254,22 +297,15 @@ def simplify_identity_list(
         if inverted in kept_forms:
             rec.status = INVERSE_DUP
             continue
-        conjugate = False
-        for sigma in sigma_images:
-            if sigma.is_identity():
-                continue
-            for candidate in (seq, inverted):
-                moved = cancel_adjacent(act(candidate, sigma))
-                if moved in kept_forms:
-                    conjugate = True
-                    break
-            if conjugate:
-                break
-        if conjugate:
+        if any(
+            _translates_to_kept(c, kept_orbits, vertex_words)
+            for c in (cancel_adjacent(seq), inverted)
+        ):
             rec.status = CONJUGATE_DUP
             continue
         rec.status = KEPT
-        kept_forms.append(seq)
+        kept_forms.add(seq)
+        kept_orbits.setdefault(_orbit_key(seq), []).append(seq.terms[0].conjugator)
     return ordered
 
 

@@ -5,11 +5,21 @@ generator ``i`` gives ``2*i`` for the positive letter and ``2*i + 1`` for
 the negative letter.  Monoid words (over the signed alphabet) and group
 words (freely reduced elements of the free group) share this encoding,
 which makes the translation between them a cheap rewrap.
+
+Only the public constructors ``MonoidWord(...)`` and ``GroupWord(...)``
+validate: they take letters from outside the module (parsers, callers,
+tests), so they check every code against the alphabet, and
+``GroupWord`` freely reduces.  The operations here (products, inverses,
+the ``mu`` translations) build their results through the trusted
+``_monoid_word`` / ``_group_word`` instead.  Their inputs are already
+valid words over one alphabet, so every output code is valid too; and
+since a product of two reduced words can only cancel where they meet
+and the reversed flipped form of a reduced word is reduced, neither
+needs a full reduction pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 POS = 1
@@ -18,14 +28,6 @@ NEG = -1
 
 class WordError(ValueError):
     """Malformed word or alphabet mismatch."""
-
-
-@dataclass(frozen=True)
-class Generator:
-    """A named generator with its position in the declared total order."""
-
-    name: str
-    index: int
 
 
 class Alphabet:
@@ -40,7 +42,6 @@ class Alphabet:
                 raise WordError(f"invalid generator name {name!r}")
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
-        self.generators = tuple(Generator(name, i) for i, name in enumerate(names))
 
     def __len__(self) -> int:
         return len(self.names)
@@ -115,45 +116,39 @@ class MonoidWord:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MonoidWord)
-            and self.alphabet == other.alphabet
             and self.letters == other.letters
+            and (self.alphabet is other.alphabet or self.alphabet == other.alphabet)
         )
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, self.letters))
+        # equal words have equal letters; the alphabet only refines equality
+        return hash(self.letters)
 
     def __repr__(self) -> str:
         return f"MonoidWord({render_monoid(self)!r})"
 
     def concat(self, other: "MonoidWord") -> "MonoidWord":
         _check_same(self, other)
-        return MonoidWord(self.alphabet, self.letters + other.letters)
-
-    def slice(self, start: int, stop: int) -> "MonoidWord":
-        return MonoidWord(self.alphabet, self.letters[start:stop])
+        return _monoid_word(self.alphabet, self.letters + other.letters)
 
 
 class GroupWord:
     """A freely reduced word in the free group F(X).
 
     The reduced invariant is maintained eagerly: any letter sequence given
-    to the constructor is reduced with a stack scan.
+    to the constructor is validated and reduced with a stack scan.
     """
 
     __slots__ = ("alphabet", "letters")
 
     def __init__(self, alphabet: Alphabet, letters: Iterable[int] = ()):
         self.alphabet = alphabet
-        stack: list[int] = []
+        letters = tuple(letters)
         n = 2 * len(alphabet)
         for c in letters:
             if not 0 <= c < n:
                 raise WordError(f"letter code {c} outside alphabet {alphabet!r}")
-            if stack and stack[-1] == flip(c):
-                stack.pop()
-            else:
-                stack.append(c)
-        self.letters = tuple(stack)
+        self.letters = _reduce(letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -164,12 +159,13 @@ class GroupWord:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GroupWord)
-            and self.alphabet == other.alphabet
             and self.letters == other.letters
+            and (self.alphabet is other.alphabet or self.alphabet == other.alphabet)
         )
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, self.letters))
+        # equal words have equal letters; the alphabet only refines equality
+        return hash(self.letters)
 
     def __repr__(self) -> str:
         return f"GroupWord({render_group(self)!r})"
@@ -178,39 +174,76 @@ class GroupWord:
         return not self.letters
 
 
+def _reduce(letters: tuple) -> tuple:
+    """Free reduction of a tuple of codes with a stack scan."""
+    stack: list[int] = []
+    for c in letters:
+        if stack and stack[-1] == c ^ 1:
+            stack.pop()
+        else:
+            stack.append(c)
+    return tuple(stack)
+
+
+def _monoid_word(alphabet: Alphabet, letters: tuple) -> MonoidWord:
+    """Trusted constructor: ``letters`` must be valid codes of ``alphabet``."""
+    w = object.__new__(MonoidWord)
+    w.alphabet = alphabet
+    w.letters = letters
+    return w
+
+
+def _group_word(alphabet: Alphabet, letters: tuple) -> GroupWord:
+    """Trusted constructor: ``letters`` must be valid, freely reduced codes
+    of ``alphabet``."""
+    w = object.__new__(GroupWord)
+    w.alphabet = alphabet
+    w.letters = letters
+    return w
+
+
 def _check_same(u, v) -> None:
-    if u.alphabet != v.alphabet:
+    if u.alphabet is not v.alphabet and u.alphabet != v.alphabet:
         raise WordError(f"alphabet mismatch: {u.alphabet!r} vs {v.alphabet!r}")
 
 
 def involute(w: MonoidWord) -> MonoidWord:
     """The formal inverse on the free monoid: reverse and flip every sign."""
-    return MonoidWord(w.alphabet, tuple(flip(c) for c in reversed(w.letters)))
+    return _monoid_word(w.alphabet, tuple([c ^ 1 for c in reversed(w.letters)]))
 
 
 def mu(w: GroupWord) -> MonoidWord:
     """Translate a reduced group word into a monoid word letter for letter."""
-    return MonoidWord(w.alphabet, w.letters)
+    return _monoid_word(w.alphabet, w.letters)
 
 
 def mu_inverse(w: MonoidWord) -> GroupWord:
     """Translate back to the free group, freely reducing."""
-    return GroupWord(w.alphabet, w.letters)
+    return _group_word(w.alphabet, _reduce(w.letters))
 
 
 def free_multiply(u: GroupWord, v: GroupWord) -> GroupWord:
-    """Product in F(X): concatenate and freely reduce."""
-    _check_same(u, v)
-    if not u.letters:
+    """Product in F(X): both factors are reduced, so letters cancel only
+    at the seam, pairwise outwards from it."""
+    if u.alphabet is not v.alphabet:
+        _check_same(u, v)
+    a, b = u.letters, v.letters
+    if not a:
         return v
-    if not v.letters:
+    if not b:
         return u
-    return GroupWord(u.alphabet, u.letters + v.letters)
+    i, j, n = len(a), 0, len(b)
+    while i and j < n and a[i - 1] ^ 1 == b[j]:
+        i -= 1
+        j += 1
+    return _group_word(u.alphabet, a[:i] + b[j:] if j else a + b)
 
 
 def inverse(w: GroupWord) -> GroupWord:
     """Group inverse; the reversed flipped word of a reduced word is reduced."""
-    return GroupWord(w.alphabet, tuple(flip(c) for c in reversed(w.letters)))
+    if not w.letters:
+        return w
+    return _group_word(w.alphabet, tuple([c ^ 1 for c in reversed(w.letters)]))
 
 
 def conjugate(w: GroupWord, by: GroupWord) -> GroupWord:

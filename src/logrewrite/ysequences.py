@@ -24,11 +24,15 @@ from .words import (
     inverse,
     mu,
     parse_group,
-    power,
     render_group,
 )
 
-NormalForm = Callable[[MonoidWord], MonoidWord]
+# Normal forms are annotated ``Callable[[MonoidWord], MonoidWord]`` in
+# signatures only: subscripting at import time would let typing's cache
+# keep every re-imported copy of ``logrewrite.words`` alive.
+
+# the pairing search of is_primary_identity is exponential in the term count
+PRIMARY_MAX_TERMS = 20
 
 
 @dataclass(frozen=True)
@@ -136,11 +140,6 @@ def boundary_in(s: YSequence, alphabet: Alphabet) -> GroupWord:
     if s.is_empty():
         return GroupWord(alphabet)
     return boundary(s)
-
-
-def boundary_monoid(s: YSequence, alphabet: Alphabet) -> MonoidWord:
-    """The boundary pushed into the monoid on the signed alphabet."""
-    return mu(boundary_in(s, alphabet))
 
 
 def act(s: YSequence, v: GroupWord) -> YSequence:
@@ -313,7 +312,7 @@ def peiffer_closure(s: YSequence, *, use_root_moves: bool = True) -> YSequence:
 
 def simplify(
     s: YSequence,
-    nf: Optional[NormalForm] = None,
+    nf: Optional[Callable[[MonoidWord], MonoidWord]] = None,
     *,
     use_root_moves: bool = True,
     max_nodes: int = 3000,
@@ -375,7 +374,11 @@ def simplify(
 
 
 def is_primary_identity(
-    s: YSequence, nf: NormalForm, alphabet: Alphabet, *, max_terms: int = 20
+    s: YSequence,
+    nf: Callable[[MonoidWord], MonoidWord],
+    alphabet: Alphabet,
+    *,
+    max_terms: int = PRIMARY_MAX_TERMS,
 ) -> bool:
     """True when the terms pair off as inverse relator instances whose
     conjugator quotients lie in the normal closure of the relators.
@@ -464,8 +467,3 @@ def parse_ysequence(
             YTerm(relators[label], POS if sign_text == "+" else NEG, conj)
         )
     return YSequence(terms)
-
-
-def conjugator_power(alphabet: Alphabet, base: str, n: int) -> GroupWord:
-    """Convenience for fixtures: the reduced word ``base^n``."""
-    return power(parse_group(alphabet, base), n)

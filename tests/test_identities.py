@@ -1,6 +1,9 @@
 import pytest
 
 from logrewrite.identities import (
+    CONJUGATE_DUP,
+    DUPLICATE,
+    INVERSE_DUP,
     KEPT,
     PRIMARY,
     TRIVIAL,
@@ -14,10 +17,13 @@ from logrewrite.identities import (
     relator_cycle_edges,
     separation_identity,
     simplify_identity_list,
+    _sort_key,
 )
 from logrewrite.presentation import parse_presentation
 from logrewrite.rewriting import complete_presentation, logged_reduce, normal_form_fn
 from logrewrite.words import (
+    GroupWord,
+    WordError,
     conjugate,
     free_multiply,
     inverse,
@@ -27,16 +33,34 @@ from logrewrite.words import (
     render_monoid,
 )
 from logrewrite.ysequences import (
+    POS,
     YSequence,
+    YTerm,
+    act,
     boundary_in,
+    cancel_adjacent,
+    invert,
+    is_primary_identity,
     render_ysequence,
     simplify,
 )
 
-from tests.conftest import ABELIAN_TEXT
+from tests.conftest import ABELIAN_TEXT, Q8_TEXT
 
 C3_TEXT = "generators: a\nrelators:\n  r = a^3\n"
 TRIVIAL_TEXT = "generators: x\nrelators:\n  r = x\n"
+S4_TEXT = "generators: a, b\nrelators:\n  r1 = a^2\n  r2 = b^3\n  r3 = a b a b a b a b\n"
+S4_COXETER_TEXT = """\
+generators: a, b, c
+relators:
+  r1 = a^2
+  r2 = b^2
+  r3 = c^2
+  r4 = a b a b a b
+  r5 = b c b c b c
+  r6 = a c a c
+"""
+Z6XZ6_TEXT = "generators: a, b\nrelators:\n  r1 = a^6\n  r2 = b^6\n  r3 = a b a^-1 b^-1\n"
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +211,132 @@ class TestSimplifyIdentityList:
             for r in res.records
         ]
         assert render(a) == render(b)
+
+
+def translate_scan(records, nf, graph):
+    """The discard as it was before the orbit-key lookup: act each record
+    and its inverse by every non-trivial vertex word and scan the kept
+    forms.  Kept as the reference for simplify_identity_list."""
+    alphabet = graph.sys.presentation.alphabet
+    ordered = sorted(records, key=_sort_key)
+    kept_forms = []
+    sigma_images = [mu_inverse(v) for v in graph.vertices]
+    for rec in ordered:
+        seq = rec.sequence
+        if seq.is_empty():
+            rec.status = TRIVIAL
+            continue
+        try:
+            primary = is_primary_identity(seq, nf, alphabet)
+        except WordError:
+            primary = False
+        if primary:
+            rec.status = PRIMARY
+            continue
+        if seq in kept_forms:
+            rec.status = DUPLICATE
+            continue
+        inverted = cancel_adjacent(invert(seq))
+        if inverted in kept_forms:
+            rec.status = INVERSE_DUP
+            continue
+        if any(
+            cancel_adjacent(act(candidate, sigma)) in kept_forms
+            for sigma in sigma_images
+            if not sigma.is_identity()
+            for candidate in (seq, inverted)
+        ):
+            rec.status = CONJUGATE_DUP
+            continue
+        rec.status = KEPT
+        kept_forms.append(seq)
+    return ordered
+
+
+def both_discards(records, nf, graph):
+    """Statuses of (simplify_identity_list, translate_scan), each run on
+    its own copy of the records, in output order."""
+    out = []
+    for discard in (simplify_identity_list, translate_scan):
+        copies = [IdentityRecord(r.vertex, r.relator, r.sequence) for r in records]
+        out.append(
+            [
+                (render_monoid(r.vertex), r.relator.label, r.status)
+                for r in discard(copies, nf, graph)
+            ]
+        )
+    return out
+
+
+class TestDiscardMatchesTranslateScan:
+    @pytest.mark.parametrize(
+        "text",
+        [Q8_TEXT, S4_TEXT, S4_COXETER_TEXT, Z6XZ6_TEXT],
+        ids=["q8", "s4", "s4_coxeter", "z6xz6"],
+    )
+    def test_corpus(self, text):
+        p = parse_presentation(text)
+        sys = complete_presentation(p).final_system
+        graph = build_cayley_graph(sys)
+        records = [
+            IdentityRecord(g, rho, separation_identity(g, rho, graph))
+            for g in graph.vertices
+            for rho in p.relators
+        ]
+        new, reference = both_discards(records, normal_form_fn(sys), graph)
+        assert new == reference
+        assert {status for _, _, status in new} >= {KEPT, TRIVIAL, DUPLICATE}
+
+
+class TestDiscardCases:
+    @pytest.fixture(scope="class")
+    def setting(self, q8, q8_system, q8_pipeline):
+        graph = build_cayley_graph(q8_system)
+        kept = next(r for r in q8_pipeline.kept if len(r.sequence) > 1)
+        return graph, normal_form_fn(q8_system), kept
+
+    def _pair(self, q8, setting, sigma):
+        """Statuses of a kept form and the record that ``sigma`` moves onto it."""
+        graph, nf, kept = setting
+        moved = act(kept.sequence, inverse(sigma))
+        assert act(moved, sigma) == kept.sequence
+        records = [
+            IdentityRecord(graph.vertices[0], kept.relator, kept.sequence),
+            IdentityRecord(parse_monoid(q8.alphabet, "ab"), kept.relator, moved),
+        ]
+        return both_discards(records, nf, graph)
+
+    def test_translate_by_vertex_word_is_conjugate_dup(self, q8, setting):
+        graph = setting[0]
+        for v in graph.vertices[1:]:
+            new, reference = self._pair(q8, setting, mu_inverse(v))
+            assert [status for _, _, status in new] == [KEPT, CONJUGATE_DUP]
+            assert new == reference
+
+    def test_translate_by_other_word_is_kept(self, q8, setting):
+        for word in ("b a", "a^3 b"):
+            new, reference = self._pair(q8, setting, parse_group(q8.alphabet, word))
+            assert [status for _, _, status in new] == [KEPT, KEPT]
+            assert new == reference
+
+    def test_long_record_cancelling_to_empty(self, q8, setting):
+        graph, nf, kept = setting
+        t = YTerm(q8.relators[0], POS, GroupWord(q8.alphabet))
+        seq = YSequence([t, t.inverted()] * 11)
+        assert len(seq) > 20 and cancel_adjacent(seq).is_empty()
+        records = [
+            IdentityRecord(graph.vertices[0], kept.relator, kept.sequence),
+            IdentityRecord(graph.vertices[1], q8.relators[0], seq),
+        ]
+        new, reference = both_discards(records, nf, graph)
+        assert new == reference
+
+    def test_nontrivial_boundary_raises(self, q8, setting):
+        graph, nf, _ = setting
+        t = YTerm(q8.relators[0], POS, GroupWord(q8.alphabet))
+        rec = IdentityRecord(graph.vertices[0], q8.relators[0], YSequence([t]))
+        with pytest.raises(WordError):
+            simplify_identity_list([rec], nf, graph)
 
 
 class TestSampledApi:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -23,6 +28,8 @@ from logrewrite.words import (
 )
 
 AB = Alphabet(["a", "b"])
+XY = Alphabet(["x", "y"])
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def group_words(alphabet=AB, max_size=12):
@@ -74,10 +81,9 @@ class TestMonoidWord:
         w = parse_monoid(AB, "a a^-1")
         assert len(w) == 2
 
-    def test_concat_slice(self):
+    def test_concat(self):
         w = parse_monoid(AB, "a b")
         assert render_monoid(w.concat(w)) == "abab"
-        assert w.slice(0, 1) == parse_monoid(AB, "a")
 
     def test_bad_letter_code(self):
         with pytest.raises(WordError):
@@ -126,6 +132,79 @@ class TestGroupWord:
         assert free_multiply(free_multiply(u, v), w) == free_multiply(
             u, free_multiply(v, w)
         )
+
+    @given(group_words(), group_words())
+    def test_multiply_matches_full_reduction(self, u, v):
+        assert free_multiply(u, v).letters == GroupWord(AB, u.letters + v.letters).letters
+
+    @given(group_words())
+    def test_inverse_is_reduced(self, w):
+        inv = inverse(w)
+        assert GroupWord(AB, inv.letters).letters == inv.letters
+
+    @given(group_words(), group_words(XY))
+    def test_product_across_alphabets_raises(self, u, v):
+        with pytest.raises(WordError):
+            free_multiply(u, v)
+        with pytest.raises(WordError):
+            free_multiply(v, u)
+
+    @given(group_words())
+    def test_equal_alphabets_need_not_be_one_object(self, w):
+        twin = GroupWord(Alphabet(["a", "b"]), w.letters)
+        assert free_multiply(w, inverse(twin)).is_identity()
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=3), max_size=6),
+        st.one_of(st.integers(max_value=-1), st.integers(min_value=4)),
+        st.integers(min_value=0, max_value=6),
+    )
+    def test_constructor_rejects_out_of_range_codes(self, codes, bad, at):
+        codes.insert(min(at, len(codes)), bad)
+        with pytest.raises(WordError):
+            GroupWord(AB, codes)
+        with pytest.raises(WordError):
+            MonoidWord(AB, codes)
+
+    @given(st.lists(st.integers(min_value=0, max_value=3), max_size=12))
+    def test_equal_words_hash_equal(self, codes):
+        twin = Alphabet(["a", "b"])
+        for make in (GroupWord, MonoidWord):
+            u, v = make(AB, codes), make(twin, codes)
+            assert u == v
+            assert hash(u) == hash(v)
+
+    @given(st.lists(st.integers(min_value=0, max_value=3), max_size=12))
+    def test_alphabet_takes_part_in_equality(self, codes):
+        for make in (GroupWord, MonoidWord):
+            assert make(AB, codes) != make(XY, codes)
+
+
+def test_reimport_keeps_no_old_module_alive():
+    # module-level typing subscriptions are cached by typing, and the cache
+    # would keep each re-imported copy of the package alive
+    script = """
+import gc, importlib, sys
+for _ in range(5):
+    for name in [n for n in sys.modules if n.split(".")[0] == "logrewrite"]:
+        del sys.modules[name]
+    importlib.import_module("logrewrite")
+gc.collect()
+print(sum(
+    1 for o in gc.get_objects()
+    if isinstance(o, type) and o.__qualname__ == "GroupWord"
+    and o.__module__ == "logrewrite.words"
+))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert out.stdout.strip() == "1"
 
 
 class TestRendering:
