@@ -37,7 +37,7 @@ from .words import (
     render_group,
     render_monoid,
 )
-from .ysequences import render_yterm, render_ysequence, simplify
+from .ysequences import render_ysequence, simplify
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,7 +115,8 @@ def _complete_or_die(p, args):
             f"  {render_monoid(r.lhs)} -> {render_monoid(r.rhs)}" for r in tail
         )
         raise BudgetError(
-            "completion did not terminate within the limits; last rules added:\n"
+            f"completion stopped ({report.stopped}) after {report.passes} "
+            "passes; last rules added:\n"
             + lines
             + "\nconsider another ordering (--order/--letter-order) or higher limits"
         )
@@ -221,36 +222,31 @@ def _k1_rows(graph) -> list[tuple[str, str, str, str]]:
     return rows
 
 
-def _cmd_kone(args: argparse.Namespace) -> int:
-    p = _load(args)
-    report = _complete_or_die(p, args)
-    graph = build_cayley_graph(report.final_system, args.vertex_cap, _limits(args))
+def _print_k1(graph, fmt: str) -> int:
     rows = _k1_rows(graph)
-    if args.fmt == "json":
+    if fmt == "json":
         payload = [
             {"edge": r[0], "target": r[1], "word": r[2], "k1": r[3]}
             for r in rows[1:]
         ]
         print(json.dumps(payload, indent=2))
-        return 0
-    print(_table(rows))
+    else:
+        print(_table(rows))
     return 0
+
+
+def _cmd_kone(args: argparse.Namespace) -> int:
+    p = _load(args)
+    report = _complete_or_die(p, args)
+    graph = build_cayley_graph(report.final_system, args.vertex_cap, _limits(args))
+    return _print_k1(graph, args.fmt)
 
 
 def _cmd_identities(args: argparse.Namespace) -> int:
     p = _load(args)
     result = identities_pipeline(p, _limits(args), args.vertex_cap)
     if args.emit == "k1":
-        rows = _k1_rows(result.graph)
-        if args.fmt == "json":
-            payload = [
-                {"edge": r[0], "target": r[1], "word": r[2], "k1": r[3]}
-                for r in rows[1:]
-            ]
-            print(json.dumps(payload, indent=2))
-        else:
-            print(_table(rows))
-        return 0
+        return _print_k1(result.graph, args.fmt)
     records = result.records
     if args.emit == "kept" and not args.keep_all:
         records = result.kept
@@ -261,12 +257,8 @@ def _cmd_identities(args: argparse.Namespace) -> int:
                     "g": render_monoid(r.vertex),
                     "rho": r.relator.label,
                 },
-                "terms": _terms_json(
-                    r.sequence if args.emit == "raw" else r.reduced
-                ),
-                "sequence": render_ysequence(
-                    r.sequence if args.emit == "raw" else r.reduced
-                ),
+                "terms": _terms_json(r.sequence),
+                "sequence": render_ysequence(r.sequence),
                 "status": r.status,
             }
             for r in records
@@ -278,7 +270,7 @@ def _cmd_identities(args: argparse.Namespace) -> int:
         (
             f"[{render_monoid(r.vertex)}, {r.relator.label}]",
             r.status,
-            render_ysequence(r.sequence if args.emit == "raw" else r.reduced),
+            render_ysequence(r.sequence),
         )
         for r in records
     ]

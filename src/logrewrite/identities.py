@@ -13,7 +13,6 @@ identities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .presentation import Presentation
 from .rewriting import (
@@ -70,9 +69,16 @@ class CayleyGraph:
         self.sys = sys
         self.vertices: list[MonoidWord] = list(vertices)
         self.edges: dict[tuple[MonoidWord, int], Edge] = dict(edges)
+        # right multiplication by a generator is a bijection of G, so
+        # exactly one edge labelled x lands on each vertex
+        self._into = {(e.target, e.label): e for e in self.edges.values()}
 
     def edge(self, g: MonoidWord, gen: int) -> Edge:
         return self.edges[(g, gen)]
+
+    def edge_into(self, h: MonoidWord, gen: int) -> Edge:
+        """The edge labelled ``gen`` whose target is ``h``."""
+        return self._into[(h, gen)]
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -153,7 +159,6 @@ def relator_cycle_edges(
     a negative letter moves against the arrow of the edge that lands on
     the current vertex, contributing it reversed (direction -1).
     """
-    sys = graph.sys
     current = g
     out: list[tuple[Edge, int]] = []
     for c in mu(rho.word):
@@ -163,13 +168,9 @@ def relator_cycle_edges(
             out.append((e, 1))
             current = e.target
         else:
-            back = MonoidWord(current.alphabet, current.letters + (c,))
-            source, _ = logged_reduce(back, sys)
-            e = graph.edge(source, gen)
-            if e.target != current:  # pragma: no cover - N is a function
-                raise WordError("reverse edge does not land on the current vertex")
+            e = graph.edge_into(current, gen)
             out.append((e, -1))
-            current = source
+            current = e.source
     if current != g:  # pragma: no cover - relators map to the identity
         raise WordError(f"relator cycle for {rho!r} did not close at {g!r}")
     return out
@@ -208,7 +209,9 @@ class IdentityRecord:
     relator: RelatorRef
     sequence: YSequence  # as produced by separation_identity
     status: str = KEPT
-    reduced: YSequence = field(default=None)  # Peiffer-short form, set by B5
+    # set to ``sequence`` by simplify_identity_list, which shows every
+    # record as its relator cycle produced it
+    reduced: YSequence = field(default=None)
 
 
 def _sort_key(r: IdentityRecord) -> tuple:
@@ -329,7 +332,9 @@ def identities_pipeline(
     then the discard pipeline."""
     report = complete_presentation(p, limits)
     if not report.final_system.complete:
-        raise WordError("completion did not terminate; adjust the ordering or limits")
+        raise WordError(
+            f"completion stopped ({report.stopped}); adjust the ordering or limits"
+        )
     sys = report.final_system
     graph = build_cayley_graph(sys, vertex_cap, limits)
     records = [

@@ -11,6 +11,7 @@ times I(w).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Callable, Iterable, Optional, Union
 
 from .orderings import GT, LT, OrderSpec
@@ -21,17 +22,14 @@ from .words import (
     WordError,
     free_multiply,
     inverse,
-    mu,
     mu_inverse,
 )
 from .ysequences import (
-    EMPTY,
     YSequence,
     act,
     boundary_in,
     invert,
     peiffer_closure,
-    simplify,
 )
 
 
@@ -53,7 +51,6 @@ class LoggedRule:
     log: YSequence
     rhs: MonoidWord
     id: int
-    origin: str = "initial"
 
     def holds(self) -> bool:
         """The defining identity l = (delta c) r in F(X)."""
@@ -65,6 +62,10 @@ class LoggedRule:
 
 
 class LoggedRewriteSystem:
+    """Logged rules, kept in id order: the constructor sorts them once,
+    new rules (with larger ids) are appended, and interreduction replaces
+    a rule at its own index.  Call ``_rebuild_index`` after a change."""
+
     def __init__(
         self,
         presentation: Presentation,
@@ -74,36 +75,32 @@ class LoggedRewriteSystem:
     ):
         self.presentation = presentation
         self.order = order
-        self.rules = list(rules)
+        self.rules = sorted(rules, key=attrgetter("id"))
         self.complete = complete
         self._rebuild_index()
 
     def _rebuild_index(self) -> None:
-        # first-letter dispatch; rule lists stay sorted by id
+        # rules are in id order, so every first-letter bucket is too
+        self._by_id: dict[int, LoggedRule] = {}
         self._by_first: dict[int, list[LoggedRule]] = {}
-        for rule in sorted(self.rules, key=lambda r: r.id):
+        for rule in self.rules:
+            self._by_id[rule.id] = rule
             self._by_first.setdefault(rule.lhs.letters[0], []).append(rule)
 
     def rules_by_id(self) -> list[LoggedRule]:
-        return sorted(self.rules, key=lambda r: r.id)
+        return list(self.rules)
 
     def match_at(self, word: tuple, pos: int) -> Optional[LoggedRule]:
         """Lowest-id rule whose lhs occurs at ``pos``."""
-        candidates = self._by_first.get(word[pos])
-        if not candidates:
-            return None
-        best = None
-        for rule in candidates:
-            n = len(rule.lhs)
-            if word[pos : pos + n] == rule.lhs.letters:
-                if best is None or rule.id < best.id:
-                    best = rule
-        return best
+        for rule in self._by_first.get(word[pos], ()):
+            if word[pos : pos + len(rule.lhs)] == rule.lhs.letters:
+                return rule
+        return None
 
 
 def initial_logged_system(p: Presentation) -> LoggedRewriteSystem:
     rules = [
-        LoggedRule(lhs, log, rhs, id=i, origin="initial")
+        LoggedRule(lhs, log, rhs, id=i)
         for i, (lhs, log, rhs) in enumerate(initial_logged_rules(p), start=1)
     ]
     return LoggedRewriteSystem(p, p.order, rules)
@@ -188,63 +185,58 @@ class OverlapDescriptor:
 
 
 def _rule(sys: LoggedRewriteSystem, rule_id: int) -> LoggedRule:
-    for rule in sys.rules:
-        if rule.id == rule_id:
-            return rule
-    raise WordError(f"no rule with id {rule_id}")
+    try:
+        return sys._by_id[rule_id]
+    except KeyError:
+        raise WordError(f"no rule with id {rule_id}") from None
 
 
 def find_overlaps(
     sys: LoggedRewriteSystem, frontier: Optional[set[int]] = None
 ) -> list[OverlapDescriptor]:
-    """All type-1 and type-2 overlaps, each reported once.
+    """All type-1 and type-2 overlaps, each reported once (type-1 ones of
+    a pair differ by position, type-2 ones by overlap length).
 
     Self-overlaps of a rule with itself are included (proper ones only:
-    the trivial identical occurrence is skipped).
+    the trivial identical occurrence is skipped).  With ``frontier``, a
+    set of rule ids, only the overlaps of ``rule_a`` or ``rule_b`` in
+    ``frontier`` are listed.
     """
+    alphabet = sys.presentation.alphabet
+    empty = MonoidWord(alphabet)
+    rules = sys.rules
+    fresh = rules if frontier is None else [r for r in rules if r.id in frontier]
     out: list[OverlapDescriptor] = []
-    seen: set = set()
-    rules = sys.rules_by_id()
-    empty = MonoidWord(sys.presentation.alphabet)
     for ra in rules:  # primed rule, owns l'
-        for rb in rules:
-            if frontier is not None and ra.id not in frontier and rb.id not in frontier:
-                continue
+        for rb in rules if frontier is None or ra.id in frontier else fresh:
             la, lb = ra.lhs.letters, rb.lhs.letters
-            # type 1: lb occurs inside la
-            if len(lb) <= len(la):
+            # type 1: lb occurs inside la, other than a rule laid on itself
+            if ra.id != rb.id and len(lb) <= len(la):
                 for pos in range(len(la) - len(lb) + 1):
-                    if la[pos : pos + len(lb)] != lb:
-                        continue
-                    if ra.id == rb.id and len(lb) == len(la):
-                        continue  # a rule laid exactly on itself
-                    desc = OverlapDescriptor(
-                        ra.id,
-                        rb.id,
-                        "type1",
-                        MonoidWord(sys.presentation.alphabet, la[:pos]),
-                        MonoidWord(sys.presentation.alphabet, la[pos + len(lb) :]),
-                        empty,
-                    )
-                    key = (desc.rule_a, desc.rule_b, desc.kind, desc.u.letters)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(desc)
+                    if la[pos : pos + len(lb)] == lb:
+                        out.append(
+                            OverlapDescriptor(
+                                ra.id,
+                                rb.id,
+                                "type1",
+                                MonoidWord(alphabet, la[:pos]),
+                                MonoidWord(alphabet, la[pos + len(lb) :]),
+                                empty,
+                            )
+                        )
             # type 2: proper suffix of la equals proper prefix of lb
             for k in range(1, min(len(la), len(lb))):
                 if la[len(la) - k :] == lb[:k]:
-                    desc = OverlapDescriptor(
-                        ra.id,
-                        rb.id,
-                        "type2",
-                        MonoidWord(sys.presentation.alphabet, la[: len(la) - k]),
-                        empty,
-                        MonoidWord(sys.presentation.alphabet, lb[k:]),
+                    out.append(
+                        OverlapDescriptor(
+                            ra.id,
+                            rb.id,
+                            "type2",
+                            MonoidWord(alphabet, la[: len(la) - k]),
+                            empty,
+                            MonoidWord(alphabet, lb[k:]),
+                        )
                     )
-                    key = (desc.rule_a, desc.rule_b, desc.kind, desc.u.letters)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(desc)
     return out
 
 
@@ -286,6 +278,9 @@ def process_overlap(
 
 # -- completion --------------------------------------------------------------
 
+# CompletionReport.stopped: a limit, or a pair the certification left open
+MAX_PASSES, MAX_RULES, UNRESOLVED = "max_passes", "max_rules", "unresolved"
+
 
 @dataclass
 class CompletionReport:
@@ -294,6 +289,7 @@ class CompletionReport:
     rules_formed: int = 0
     rules_removed: int = 0
     passes: int = 0
+    stopped: Optional[str] = None  # None when complete
 
 
 def logged_knuth_bendix(
@@ -305,47 +301,44 @@ def logged_knuth_bendix(
     """Complete the system, harvesting an identity from every resolved
     critical pair.
 
-    Each pass resolves every unprocessed overlap against a frozen snapshot
-    of the system, adds the surviving critical-pair rules oriented by the
-    system's ordering, then interreduces (redundant rules removed,
-    right-hand sides normalised with log composition).  On success the
-    final system is verified against every remaining overlap and marked
-    complete.
+    Each pass resolves the overlaps of its frontier in the order of a
+    total sort key, adds the surviving critical-pair rules oriented by
+    the system's ordering, then interreduces (redundant rules removed,
+    right-hand sides normalised with log composition).  Pass 1 lists
+    every overlap; a later pass only those touching a rule the pass
+    before added.  These are exactly the overlaps not resolved yet: ids
+    are never reused and a rule keeps its lhs for life, so an overlap of
+    two older rules was resolved in an earlier pass.  On success the
+    final system is verified against every overlap and marked complete;
+    otherwise ``stopped`` says why not.
     """
-    sys = LoggedRewriteSystem(
-        init.presentation, init.order, init.rules, complete=False
-    )
+    sys = LoggedRewriteSystem(init.presentation, init.order, init.rules)
     report = CompletionReport(final_system=sys)
-    next_id = max((r.id for r in sys.rules), default=0) + 1
-    processed: set = set()
+    next_id = max(sys._by_id, default=0) + 1
+    frontier: Optional[set[int]] = None  # None lists every overlap
 
-    def overlap_key(o: OverlapDescriptor) -> tuple:
-        return (o.rule_a, o.rule_b, o.kind, o.u.letters)
+    def pending_key(o: OverlapDescriptor) -> tuple:
+        # overlaps of two logged (relator-derived) rules first, then the
+        # ones involving free-cancellation rules; shorter words first.  A
+        # type-2 word is longer than l', so the key is total without kind
+        ra, rb = sys._by_id[o.rule_a], sys._by_id[o.rule_b]
+        return (
+            0 if not (ra.log.is_empty() or rb.log.is_empty()) else 1,
+            len(o.u) + len(rb.lhs) + len(o.v),
+            o.rule_b,
+            o.rule_a,
+            len(o.u),
+        )
 
     while True:
+        if report.passes >= limits.max_passes:
+            report.stopped = MAX_PASSES
+            return report
         report.passes += 1
-        if report.passes > limits.max_passes:
-            return report  # complete stays False
-        pending = [o for o in find_overlaps(sys) if overlap_key(o) not in processed]
-        # overlaps of two logged (relator-derived) rules first, then the
-        # ones involving free-cancellation rules; shorter words first
-        by_id = {r.id: r for r in sys.rules}
-        pending.sort(
-            key=lambda o: (
-                0
-                if not (by_id[o.rule_a].log.is_empty() or by_id[o.rule_b].log.is_empty())
-                else 1,
-                len(o.word(sys)),
-                o.rule_b,
-                o.rule_a,
-                len(o.u),
-            )
-        )
-        snapshot = LoggedRewriteSystem(sys.presentation, sys.order, list(sys.rules))
+        pending = sorted(find_overlaps(sys, frontier), key=pending_key)
         new_rules: list[LoggedRule] = []
         for o in pending:
-            processed.add(overlap_key(o))
-            result = process_overlap(o, snapshot, limits)
+            result = process_overlap(o, sys, limits)
             if isinstance(result, Resolved):
                 if not result.identity.is_empty():
                     report.identities.append(result.identity)
@@ -359,27 +352,25 @@ def logged_knuth_bendix(
                 raise AssertionError("unordered critical pair")
             if not raw_logs:
                 log = peiffer_closure(log)
-            new_rules.append(
-                LoggedRule(
-                    lhs, log, rhs, id=next_id,
-                    origin=f"critical-pair({o.rule_a},{o.rule_b})",
-                )
-            )
+            new_rules.append(LoggedRule(lhs, log, rhs, id=next_id))
             next_id += 1
         sys.rules.extend(new_rules)
         sys._rebuild_index()
         report.rules_formed += len(new_rules)
         if len(sys.rules) > limits.max_rules:
+            report.stopped = MAX_RULES
             return report
         removed = _interreduce(sys, limits, raw_logs=raw_logs)
         report.rules_removed += removed
         if not new_rules and removed == 0:
             break
+        frontier = {r.id for r in new_rules}
 
     # certification pass: every overlap of the final system must resolve
     for o in find_overlaps(sys):
         result = process_overlap(o, sys, limits)
         if isinstance(result, NewPair):  # pragma: no cover - loop converged
+            report.stopped = UNRESOLVED
             return report
     sys.complete = True
     return report
@@ -395,11 +386,10 @@ def _interreduce(
         changed = False
         # scan newest rules first so that of two equivalent rules the
         # earlier derivation is the one kept
-        for rule in reversed(sys.rules_by_id()):
+        for i in range(len(sys.rules) - 1, -1, -1):
+            rule = sys.rules[i]
             others = LoggedRewriteSystem(
-                sys.presentation,
-                sys.order,
-                [r for r in sys.rules if r.id != rule.id],
+                sys.presentation, sys.order, sys.rules[:i] + sys.rules[i + 1 :]
             )
             z1, _ = logged_reduce(rule.lhs, others, limits)
             if z1 != rule.lhs:
@@ -416,8 +406,7 @@ def _interreduce(
                 log = rule.log.concat(d2)
                 if not raw_logs:
                     log = peiffer_closure(log)
-                sys.rules = [r for r in sys.rules if r.id != rule.id]
-                sys.rules.append(replace(rule, log=log, rhs=z2))
+                sys.rules[i] = replace(rule, log=log, rhs=z2)
                 sys._rebuild_index()
                 changed = True
                 break

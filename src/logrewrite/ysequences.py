@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .words import (
     Alphabet,
@@ -312,7 +312,6 @@ def peiffer_closure(s: YSequence, *, use_root_moves: bool = True) -> YSequence:
 
 def simplify(
     s: YSequence,
-    nf: Optional[Callable[[MonoidWord], MonoidWord]] = None,
     *,
     use_root_moves: bool = True,
     max_nodes: int = 3000,
@@ -328,7 +327,6 @@ def simplify(
     result may additionally differ from the input by root module
     identities, which is a valid alternative log.
     """
-    del nf  # conjugator equivalence is decided by the strip moves alone
     if s.is_empty():
         return s
     if len(s) > max_terms:

@@ -78,6 +78,7 @@ class TestComplete:
         )
         assert code == 1
         assert "last rules added" in err
+        assert "max_passes" in err
 
 
 class TestReduce:
@@ -141,6 +142,14 @@ class TestIdentities:
         code, out, _ = run(capsys, "identities", q8_file, "--emit", "k1")
         assert code == 0
         assert out.splitlines()[0].split() == ["edge", "target", "word", "k1"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_emit_k1_matches_kone(self, capsys, q8_file, fmt):
+        _, kone, _ = run(capsys, "kone", q8_file, "--format", fmt)
+        _, emitted, _ = run(
+            capsys, "identities", q8_file, "--emit", "k1", "--format", fmt
+        )
+        assert kone and emitted == kone
 
     def test_json(self, capsys, q8_file):
         code, out, _ = run(

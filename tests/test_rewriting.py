@@ -5,7 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from logrewrite.presentation import parse_presentation
 from logrewrite.rewriting import (
+    MAX_PASSES,
+    MAX_RULES,
     Limits,
+    LoggedRewriteSystem,
+    LoggedRule,
     Resolved,
     complete_presentation,
     find_overlaps,
@@ -23,7 +27,12 @@ from logrewrite.words import (
     parse_monoid,
     render_monoid,
 )
-from logrewrite.ysequences import boundary_in, render_ysequence, simplify
+from logrewrite.ysequences import (
+    YSequence,
+    boundary_in,
+    render_ysequence,
+    simplify,
+)
 
 from tests.conftest import ABELIAN_TEXT, Q8_TEXT, TREFOIL_TEXT
 
@@ -110,7 +119,76 @@ class TestNormalFormFn:
         assert len(seen) == 8  # the group order
 
 
+def _overlap_systems():
+    """The initial and the complete system of Q8, the trefoil and Z^2."""
+    out = []
+    for text in (Q8_TEXT, TREFOIL_TEXT, ABELIAN_TEXT):
+        p = parse_presentation(text)
+        out += [initial_logged_system(p), complete_presentation(p).final_system]
+    return out
+
+
+OVERLAP_SYSTEMS = _overlap_systems()
+
+
+def _key(o):
+    return (o.rule_a, o.rule_b, o.kind, o.u.letters)
+
+
+class TestRuleTable:
+    def test_match_at_lowest_id_from_unsorted_rules(self, q8):
+        al = q8.alphabet
+        empty = MonoidWord(al)
+
+        def rule(text, rule_id):
+            return LoggedRule(parse_monoid(al, text), YSequence(), empty, rule_id)
+
+        sys = LoggedRewriteSystem(
+            q8, q8.order, [rule("ab", 7), rule("abb", 4), rule("b", 2)]
+        )
+        assert [r.id for r in sys.rules] == [2, 4, 7]
+        word = parse_monoid(al, "abba").letters
+        assert sys.match_at(word, 0).id == 4
+        assert sys.match_at(word, 1).id == 2
+        assert sys.match_at(word, 3) is None
+
+    @pytest.mark.parametrize("text", [Q8_TEXT, TREFOIL_TEXT, ABELIAN_TEXT])
+    def test_rules_stay_in_id_order(self, text):
+        sys = complete_presentation(parse_presentation(text)).final_system
+        ids = [r.id for r in sys.rules]
+        assert ids == sorted(ids) and len(set(ids)) == len(ids)
+        assert sys.rules_by_id() == sys.rules
+
+    def test_missing_rule_id_raises(self, q8_system):
+        from logrewrite.rewriting import OverlapDescriptor, _rule
+
+        missing = max(r.id for r in q8_system.rules) + 1
+        with pytest.raises(WordError):
+            _rule(q8_system, missing)
+        empty = MonoidWord(q8_system.presentation.alphabet)
+        o = OverlapDescriptor(1, missing, "type1", empty, empty, empty)
+        with pytest.raises(WordError):
+            o.word(q8_system)
+
+
 class TestOverlaps:
+    @pytest.mark.parametrize("index", range(len(OVERLAP_SYSTEMS)))
+    def test_overlap_keys_unique(self, index):
+        keys = [_key(o) for o in find_overlaps(OVERLAP_SYSTEMS[index])]
+        assert keys and len(set(keys)) == len(keys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_frontier_lists_the_overlaps_touching_it(self, data):
+        sys = data.draw(st.sampled_from(OVERLAP_SYSTEMS))
+        ids = [r.id for r in sys.rules]
+        frontier = data.draw(st.sets(st.sampled_from(ids)))
+        assert find_overlaps(sys, frontier) == [
+            o
+            for o in find_overlaps(sys)
+            if o.rule_a in frontier or o.rule_b in frontier
+        ]
+
     def test_trefoil_distinct_pair_overlap_words(self, trefoil_system):
         words = {
             render_monoid(o.word(trefoil_system))
@@ -198,16 +276,30 @@ class TestCompletion:
             assert boundary_in(s, q8.alphabet).is_identity()
 
     def test_pass_budget_leaves_incomplete(self, q8):
-        report = logged_knuth_bendix(
-            initial_logged_system(q8), Limits(max_passes=0)
-        )
+        limits = Limits(max_passes=0)
+        report = logged_knuth_bendix(initial_logged_system(q8), limits)
         assert not report.final_system.complete
+        assert report.stopped == MAX_PASSES
+        assert report.passes <= limits.max_passes
+
+    def test_pass_budget_counts_only_passes_run(self, q8, q8_report):
+        assert q8_report.stopped is None and q8_report.passes == 3
+        report = logged_knuth_bendix(
+            initial_logged_system(q8), Limits(max_passes=2)
+        )
+        assert report.stopped == MAX_PASSES and report.passes == 2
+        report = logged_knuth_bendix(
+            initial_logged_system(q8), Limits(max_passes=3)
+        )
+        assert report.final_system.complete and report.passes == 3
 
     def test_rule_budget_leaves_incomplete(self, trefoil):
         report = logged_knuth_bendix(
             initial_logged_system(trefoil), Limits(max_rules=6)
         )
         assert not report.final_system.complete
+        assert report.stopped == MAX_RULES
+        assert report.passes <= Limits.max_passes
 
     def test_raw_logs_variant_still_completes(self, q8):
         report = complete_presentation(q8, raw_logs=True)
