@@ -64,8 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=("text", "json"), default="text", dest="fmt"
         )
-        p.add_argument("--raw-logs", action="store_true",
-                       help="skip Peiffer normalisation of rule logs")
         p.add_argument("--max-rules", type=int, default=Limits.max_rules)
         p.add_argument("--max-passes", type=int, default=Limits.max_passes)
 
@@ -90,6 +88,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_kone = sub.add_parser("kone", help="k1 on every edge of the Cayley graph")
     common(p_kone)
     p_kone.add_argument("--vertex-cap", type=int, default=10_000)
+
+    # identities_pipeline normalises its logs itself, so it takes no flag
+    for p in (p_complete, p_reduce, p_kone):
+        p.add_argument("--raw-logs", action="store_true",
+                       help="skip Peiffer normalisation of rule logs")
     return parser
 
 

@@ -21,6 +21,7 @@ from .rewriting import (
     LoggedRewriteSystem,
     complete_presentation,
     logged_reduce,
+    normal_form_fn,
 )
 from .words import (
     GroupWord,
@@ -342,8 +343,6 @@ def identities_pipeline(
         for g in graph.vertices
         for rho in p.relators
     ]
-    from .rewriting import normal_form_fn
-
     records = simplify_identity_list(records, normal_form_fn(sys), graph)
     return PipelineResult(report, graph, records)
 

@@ -1,5 +1,4 @@
-"""Group presentations, their monoid presentations and the initial logged
-rewrite system."""
+"""Group presentations and the initial logged rewrite system."""
 
 from __future__ import annotations
 
@@ -39,24 +38,6 @@ class Presentation:
 
     def relator_map(self) -> dict[str, RelatorRef]:
         return {rho.label: rho for rho in self.relators}
-
-
-@dataclass(frozen=True)
-class MonoidPresentation:
-    """The associated monoid presentation: one relation per group relator
-    plus the cancellation relations x+ x- for every signed letter."""
-
-    alphabet: Alphabet
-    relator_images: tuple[tuple[str, MonoidWord], ...]
-    cancellation_pairs: tuple[MonoidWord, ...]
-
-
-def monoid_presentation(p: Presentation) -> MonoidPresentation:
-    images = tuple((rho.label, mu(rho.word)) for rho in p.relators)
-    cancels = tuple(
-        MonoidWord(p.alphabet, (c, flip(c))) for c in p.alphabet.letters()
-    )
-    return MonoidPresentation(p.alphabet, images, cancels)
 
 
 def parse_presentation(

@@ -4,6 +4,10 @@ A term ``(rho^e)^u`` is a relator ``rho``, a sign ``e`` and a conjugating
 word ``u`` in the free group.  Sequences of such terms carry the logging
 information of every rewrite, and sequences with trivial boundary are
 identities among the relations.
+
+The module keeps no state between calls: boundaries and stripped
+conjugators are computed afresh each time, so nothing here grows with
+the number of presentations or terms a process has seen.
 """
 
 from __future__ import annotations
@@ -33,6 +37,11 @@ from .words import (
 
 # the pairing search of is_primary_identity is exponential in the term count
 PRIMARY_MAX_TERMS = 20
+
+# the budgets of simplify's best-first search
+SIMPLIFY_MAX_NODES = 3000
+SIMPLIFY_MAX_TERMS = 24
+SIMPLIFY_MAX_STALE = 400
 
 
 @dataclass(frozen=True)
@@ -80,16 +89,10 @@ class YTerm:
         return YTerm(self.relator, -self.sign, self.conjugator)
 
     def boundary(self) -> GroupWord:
-        cached = _BOUNDARY_CACHE.get(self)
-        if cached is None:
-            w = self.relator.word if self.sign == POS else inverse(self.relator.word)
-            u = self.conjugator
-            cached = free_multiply(free_multiply(inverse(u), w), u)
-            _BOUNDARY_CACHE[self] = cached
-        return cached
-
-
-_BOUNDARY_CACHE: dict = {}
+        """``u^-1 w^e u`` for the relator word ``w``, computed each call."""
+        w = self.relator.word if self.sign == POS else inverse(self.relator.word)
+        u = self.conjugator
+        return free_multiply(free_multiply(inverse(u), w), u)
 
 
 class YSequence:
@@ -156,16 +159,6 @@ def invert(s: YSequence) -> YSequence:
     return YSequence(t.inverted() for t in reversed(s.terms))
 
 
-def root_identity(rho: RelatorRef) -> YSequence:
-    """The root module identity (rho^+)^v (rho^-); empty when the relator
-    equals its own root."""
-    if rho.root_power == 1:
-        return EMPTY
-    return YSequence(
-        [YTerm(rho, POS, rho.root), YTerm(rho, NEG, GroupWord(rho.word.alphabet))]
-    )
-
-
 # -- simplification ----------------------------------------------------------
 
 
@@ -190,15 +183,16 @@ def cancel_adjacent(s: YSequence) -> YSequence:
 
 
 def _strip_conjugator(t: YTerm, use_root: bool) -> YTerm:
-    """Absorb leading relator (or root) powers of the conjugator.
+    """Absorb leading relator (or root) powers of the conjugator, to a
+    fixpoint.
 
     ``(rho^e)^{w v} -> (rho^e)^{v}`` is Peiffer-neutral when ``w`` is the
     relator word; with ``use_root`` the root of the relator is absorbed as
-    well, which changes the class only by a root module identity.
+    well, which changes the class only by a root module identity.  A head
+    ``h`` can shorten ``u`` only by cancelling at the seam of ``h^-1 u``,
+    which needs ``h`` and ``u`` to start with the same letter, so the
+    other heads are skipped.
     """
-    cached = _STRIP_CACHE.get((t, use_root))
-    if cached is not None:
-        return cached
     heads = [t.relator.word, inverse(t.relator.word)]
     if use_root and t.relator.root_power > 1:
         heads += [t.relator.root, inverse(t.relator.root)]
@@ -207,17 +201,14 @@ def _strip_conjugator(t: YTerm, use_root: bool) -> YTerm:
     while changed and len(u):
         changed = False
         for head in heads:
+            if head.letters[0] != u.letters[0]:
+                continue
             candidate = free_multiply(inverse(head), u)
             if len(candidate) < len(u):
                 u = candidate
                 changed = True
                 break
-    out = t if u == t.conjugator else YTerm(t.relator, t.sign, u)
-    _STRIP_CACHE[(t, use_root)] = out
-    return out
-
-
-_STRIP_CACHE: dict = {}
+    return t if u == t.conjugator else YTerm(t.relator, t.sign, u)
 
 
 def _closure(terms: tuple, use_root: bool) -> tuple:
@@ -284,18 +275,14 @@ def _weight(terms: tuple) -> tuple[int, int]:
 
 def root_normalize(s: YSequence) -> YSequence:
     """Term-wise absorption of relator-root powers from the conjugators,
-    with adjacent cancellation, to a fixpoint.
+    then adjacent cancellation.
 
+    One pass is a fixpoint: every conjugator is already stripped as far as
+    it goes, and the cancellation stack leaves no adjacent inverse pair.
     Changes the represented class only by root module identities; no
     reordering of terms is performed.
     """
-    while True:
-        stripped = cancel_adjacent(
-            YSequence(tuple(_strip_conjugator(t, True) for t in s.terms))
-        )
-        if stripped == s:
-            return s
-        s = stripped
+    return cancel_adjacent(YSequence(_strip_conjugator(t, True) for t in s.terms))
 
 
 def peiffer_closure(s: YSequence, *, use_root_moves: bool = True) -> YSequence:
@@ -310,29 +297,23 @@ def peiffer_closure(s: YSequence, *, use_root_moves: bool = True) -> YSequence:
     return YSequence(_closure(s.terms, use_root_moves))
 
 
-def simplify(
-    s: YSequence,
-    *,
-    use_root_moves: bool = True,
-    max_nodes: int = 3000,
-    max_terms: int = 24,
-    max_stale: int = 400,
-) -> YSequence:
+def simplify(s: YSequence) -> YSequence:
     """Search for a short Peiffer-equivalent representative.
 
-    Best-first search over cancellation, conjugator absorption and the
-    exchange rule; terminates on the empty sequence, when the node budget
-    runs out, or after ``max_stale`` expansions without improvement,
-    returning the lightest sequence seen.  With ``use_root_moves`` the
-    result may additionally differ from the input by root module
-    identities, which is a valid alternative log.
+    Best-first search over cancellation, conjugator absorption (with root
+    moves) and the exchange rule; terminates on the empty sequence, after
+    ``SIMPLIFY_MAX_NODES`` expansions, or after ``SIMPLIFY_MAX_STALE``
+    expansions without improvement, returning the lightest sequence seen.
+    Sequences longer than ``SIMPLIFY_MAX_TERMS`` only get the closure.  The
+    result may differ from the input by root module identities, which is a
+    valid alternative log.
     """
     if s.is_empty():
         return s
-    if len(s) > max_terms:
-        return YSequence(_closure(s.terms, use_root_moves))
+    if len(s) > SIMPLIFY_MAX_TERMS:
+        return YSequence(_closure(s.terms, True))
 
-    start = _closure(s.terms, use_root_moves)
+    start = _closure(s.terms, True)
     if not start:
         return EMPTY
     max_conj = max(len(t.conjugator) for t in start) + 2 * max(
@@ -346,7 +327,7 @@ def simplify(
     best_w = _weight(start)
     expanded = 0
     stale = 0
-    while heap and expanded < max_nodes and stale < max_stale:
+    while heap and expanded < SIMPLIFY_MAX_NODES and stale < SIMPLIFY_MAX_STALE:
         w, _, terms = heapq.heappop(heap)
         if w < best_w:
             best, best_w = terms, w
@@ -356,8 +337,8 @@ def simplify(
         if not terms:
             return EMPTY
         expanded += 1
-        for nxt in _transpositions(terms, use_root_moves, max_conj):
-            nxt = _closure(nxt, use_root_moves)
+        for nxt in _transpositions(terms, True, max_conj):
+            nxt = _closure(nxt, True)
             key = _seq_key(nxt)
             if key in seen:
                 continue
@@ -375,8 +356,6 @@ def is_primary_identity(
     s: YSequence,
     nf: Callable[[MonoidWord], MonoidWord],
     alphabet: Alphabet,
-    *,
-    max_terms: int = PRIMARY_MAX_TERMS,
 ) -> bool:
     """True when the terms pair off as inverse relator instances whose
     conjugator quotients lie in the normal closure of the relators.
@@ -391,7 +370,7 @@ def is_primary_identity(
         return False
     if n == 0:
         return True
-    if n > max_terms:
+    if n > PRIMARY_MAX_TERMS:
         raise WordError(f"sequence too long for the pairing search ({n} terms)")
 
     terms = s.terms

@@ -115,6 +115,14 @@ class TestKone:
         row = next(l for l in lines if l.startswith("[aa, b]"))
         assert "(r4^+)" in row
 
+    def test_raw_logs_differ(self, capsys, q8_file):
+        _, normalised, _ = run(capsys, "kone", q8_file)
+        code, raw, _ = run(capsys, "kone", q8_file, "--raw-logs")
+        assert code == 0
+        assert raw != normalised
+        row = next(l for l in raw.splitlines() if l.startswith("[b, a]"))
+        assert row.endswith("(r1^-) (r3^+)^{a^-1 a^-1 a^-1} (r4^+)^{a^-1}")
+
     def test_infinite_group(self, capsys, abelian_file):
         code, _, err = run(
             capsys, "kone", abelian_file, "--vertex-cap", "50"
@@ -150,6 +158,12 @@ class TestIdentities:
             capsys, "identities", q8_file, "--emit", "k1", "--format", fmt
         )
         assert kone and emitted == kone
+
+    def test_raw_logs_rejected(self, capsys, q8_file):
+        # the pipeline normalises its logs, so the flag would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["identities", q8_file, "--raw-logs"])
+        assert exc.value.code == 2
 
     def test_json(self, capsys, q8_file):
         code, out, _ = run(

@@ -3,7 +3,6 @@ import pytest
 from logrewrite.presentation import (
     ParseError,
     initial_logged_rules,
-    monoid_presentation,
     parse_presentation,
 )
 from logrewrite.words import free_multiply, mu_inverse, parse_group, render_monoid
@@ -72,26 +71,6 @@ class TestParseErrors:
         assert f"line {line}:" in str(exc.value)
 
 
-class TestMonoidPresentation:
-    def test_q8(self):
-        p = parse_presentation(Q8_TEXT)
-        m = monoid_presentation(p)
-        assert [label for label, _ in m.relator_images] == ["r1", "r2", "r3", "r4"]
-        assert [render_monoid(w) for _, w in m.relator_images] == [
-            "aaaa",
-            "bbbb",
-            "abaB",
-            "aabb",
-        ]
-        # one cancellation pair per signed letter
-        assert [render_monoid(w) for w in m.cancellation_pairs] == [
-            "aA",
-            "Aa",
-            "bB",
-            "Bb",
-        ]
-
-
 class TestInitialRules:
     @pytest.mark.parametrize("text", [Q8_TEXT, ABELIAN_TEXT, TREFOIL_TEXT])
     def test_counts_and_invariant(self, text):
@@ -116,3 +95,7 @@ class TestInitialRules:
             "(r4^+)",
         ]
         assert all(log.is_empty() for _, log, _ in rules[4:])
+        # the relator images, then one cancellation pair per signed letter
+        assert " ".join(render_monoid(lhs) for lhs, _, _ in rules) == (
+            "aaaa bbbb abaB aabb aA Aa bB Bb"
+        )

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +23,7 @@ from logrewrite.ysequences import (
     RelatorRef,
     YSequence,
     YTerm,
+    _strip_conjugator,
     act,
     boundary,
     boundary_in,
@@ -26,7 +32,6 @@ from logrewrite.ysequences import (
     parse_ysequence,
     peiffer_closure,
     render_ysequence,
-    root_identity,
     root_normalize,
     simplify,
 )
@@ -37,6 +42,11 @@ R2 = RelatorRef.make("r2", parse_group(AB, "b^4"))
 R3 = RelatorRef.make("r3", parse_group(AB, "a b a b^-1"))
 R4 = RelatorRef.make("r4", parse_group(AB, "a^2 b^2"))
 RELATORS = {r.label: r for r in (R1, R2, R3, R4)}
+
+XY = Alphabet(["x", "y"])
+TREFOIL = RelatorRef.make("r", parse_group(XY, "x^3 y^-2"))
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def group_words(max_size=6):
@@ -110,12 +120,6 @@ class TestOperations:
         s = YSequence([YTerm(R1, POS, GroupWord(AB))])
         assert len(s.concat(s)) == 2
 
-    def test_root_identity(self):
-        s = root_identity(R1)
-        assert boundary_in(s, AB).is_identity()
-        assert render_ysequence(s) == "(r1^+)^{a} (r1^-)"
-        assert root_identity(R3) == EMPTY
-
 
 class TestCancelAdjacent:
     def test_exact_inverse_pair(self):
@@ -149,7 +153,9 @@ class TestNormalisation:
 
     @given(ysequences())
     def test_root_normalize_preserves_boundary(self, s):
-        assert boundary_in(root_normalize(s), AB) == boundary_in(s, AB)
+        once = root_normalize(s)
+        assert boundary_in(once, AB) == boundary_in(s, AB)
+        assert root_normalize(once) == once
 
     @given(ysequences(max_size=4))
     def test_simplify_preserves_boundary(self, s):
@@ -176,6 +182,72 @@ class TestNormalisation:
         out = simplify(s)
         assert boundary_in(out, AB) == boundary_in(s, AB)
         assert len(out) <= len(s)
+
+
+def strip_reference(t, use_root):
+    """Reference stripping loop: every head is tried, none is skipped by
+    its first letter."""
+    heads = [t.relator.word, inverse(t.relator.word)]
+    if use_root and t.relator.root_power > 1:
+        heads += [t.relator.root, inverse(t.relator.root)]
+    u = t.conjugator
+    changed = True
+    while changed and len(u):
+        changed = False
+        for head in heads:
+            candidate = free_multiply(inverse(head), u)
+            if len(candidate) < len(u):
+                u = candidate
+                changed = True
+                break
+    return t if u == t.conjugator else YTerm(t.relator, t.sign, u)
+
+
+@st.composite
+def strippable_terms(draw):
+    """A term over the Q8 or trefoil relators whose conjugator starts with
+    a few relator and root powers, so that stripping has work to do."""
+    rho = draw(st.sampled_from([R1, R2, R3, R4, TREFOIL]))
+    alphabet = rho.word.alphabet
+    heads = [rho.word, inverse(rho.word), rho.root, inverse(rho.root)]
+    u = GroupWord(alphabet)
+    for head in draw(st.lists(st.sampled_from(heads), max_size=4)):
+        u = free_multiply(u, head)
+    tail = draw(st.lists(st.integers(min_value=0, max_value=3), max_size=6))
+    u = free_multiply(u, GroupWord(alphabet, tail))
+    return YTerm(rho, draw(st.sampled_from([POS, NEG])), u)
+
+
+class TestStripConjugator:
+    @given(strippable_terms(), st.booleans())
+    def test_matches_reference(self, t, use_root):
+        assert _strip_conjugator(t, use_root) == strip_reference(t, use_root)
+
+
+def test_no_yterm_outlives_its_results():
+    # the module keeps no cache, so dropped results take their terms along
+    script = """
+import gc
+from logrewrite import complete_presentation, identities_pipeline, parse_presentation
+from logrewrite.ysequences import YTerm
+from tests.conftest import Q8_TEXT, TREFOIL_TEXT
+result = identities_pipeline(parse_presentation(Q8_TEXT))
+report = complete_presentation(parse_presentation(TREFOIL_TEXT))
+assert result.kept and report.final_system.complete
+del result, report
+gc.collect()
+print(sum(1 for o in gc.get_objects() if isinstance(o, YTerm)))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=SRC.parent,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(SRC.parent)])},
+        timeout=120,
+    )
+    assert out.stdout.strip() == "0"
 
 
 class TestPrimaryIdentity:
