@@ -27,6 +27,7 @@ from .words import (
     GroupWord,
     MonoidWord,
     WordError,
+    _monoid_word,
     free_multiply,
     gen_index,
     inverse,
@@ -92,7 +93,7 @@ def compute_k1(
     already irreducible, else the simplified log of reducing
     ``(sigma g) x (sigma(g x))^-1`` to the empty word."""
     alphabet = sys.presentation.alphabet
-    step = MonoidWord(alphabet, g.letters + (2 * gen,))
+    step = _monoid_word(alphabet, g.letters + (2 * gen,))
     target, _ = logged_reduce(step, sys, limits)
     if target == step:
         return YSequence()
@@ -133,7 +134,7 @@ def build_cayley_graph(
         next_frontier = []
         for g in frontier:
             for gen in range(len(alphabet)):
-                step = MonoidWord(alphabet, g.letters + (2 * gen,))
+                step = _monoid_word(alphabet, g.letters + (2 * gen,))
                 target, _ = logged_reduce(step, sys, limits)
                 if target not in index:
                     if len(vertices) >= vertex_cap:

@@ -17,9 +17,10 @@ from typing import Callable, Iterable, Optional, Union
 from .orderings import GT, LT, OrderSpec
 from .presentation import Presentation, initial_logged_rules
 from .words import (
-    GroupWord,
     MonoidWord,
     WordError,
+    _group_word,
+    _monoid_word,
     free_multiply,
     inverse,
     mu_inverse,
@@ -64,7 +65,10 @@ class LoggedRule:
 class LoggedRewriteSystem:
     """Logged rules, kept in id order: the constructor sorts them once,
     new rules (with larger ids) are appended, and interreduction replaces
-    a rule at its own index.  Call ``_rebuild_index`` after a change."""
+    a rule at its own index.  Call ``_rebuild_index`` after a change; it
+    rebuilds the first-letter buckets, the id lookup and ``_maxlhs``, the
+    length of the longest lhs, which bounds how far ``logged_reduce``
+    rescans after a rewrite."""
 
     def __init__(
         self,
@@ -83,9 +87,11 @@ class LoggedRewriteSystem:
         # rules are in id order, so every first-letter bucket is too
         self._by_id: dict[int, LoggedRule] = {}
         self._by_first: dict[int, list[LoggedRule]] = {}
+        self._maxlhs = 0
         for rule in self.rules:
             self._by_id[rule.id] = rule
             self._by_first.setdefault(rule.lhs.letters[0], []).append(rule)
+            self._maxlhs = max(self._maxlhs, len(rule.lhs.letters))
 
     def rules_by_id(self) -> list[LoggedRule]:
         return list(self.rules)
@@ -93,7 +99,8 @@ class LoggedRewriteSystem:
     def match_at(self, word: tuple, pos: int) -> Optional[LoggedRule]:
         """Lowest-id rule whose lhs occurs at ``pos``."""
         for rule in self._by_first.get(word[pos], ()):
-            if word[pos : pos + len(rule.lhs)] == rule.lhs.letters:
+            lhs = rule.lhs.letters
+            if word[pos : pos + len(lhs)] == lhs:
                 return rule
         return None
 
@@ -117,36 +124,82 @@ def logged_reduce(
 
     Deterministic: leftmost match, lowest rule id on ties (``rightmost``
     flips the scan direction; used by the confluence checks).
+
+    After a rewrite at ``pos`` the scan resumes near ``pos`` instead of
+    restarting, and makes the same rewrites as a full rescan would.
+    Leftmost: no match started before ``pos``, and a match starting
+    before ``pos - _maxlhs + 1`` would lie inside the unchanged
+    ``word[:pos]``, so the scan goes on from there.  Rightmost: every
+    suffix starting at or after ``pos + len(rhs)`` is an unchanged suffix
+    of the old word and held no match, so the scan goes on downward from
+    ``pos + len(rhs) - 1``.
+
+    The inverse prefix is kept at a cursor ``k``: ``inv`` is the free
+    reduction of ``word[:k]`` with every letter flipped, so ``inv[::-1]``
+    is ``(word[:k])^-1``, and ``undo[i]`` says what consuming ``word[i]``
+    did (-1: pushed, else the letter it cancelled).  A rewrite at ``pos``
+    leaves ``word[:pos]`` alone, so the state at ``k = pos`` stays valid
+    and moving the cursor to the next hit costs the distance moved.
     """
+    alphabet = w.alphabet
     word = w.letters
+    maxlhs = sys._maxlhs
+    match_at = sys.match_at
     log_terms: list = []
+    inv: list[int] = []
+    undo: list[int] = []
+    k = 0
     steps = 0
+    pos = len(word) - 1 if rightmost else 0
     while True:
-        hit = None
-        positions = range(len(word))
+        rule = None
         if rightmost:
-            positions = range(len(word) - 1, -1, -1)
-        for pos in positions:
-            rule = sys.match_at(word, pos)
-            if rule is not None:
-                hit = (pos, rule)
-                break
-        if hit is None:
-            return MonoidWord(w.alphabet, word), YSequence(log_terms)
+            while pos >= 0:
+                rule = match_at(word, pos)
+                if rule is not None:
+                    break
+                pos -= 1
+        else:
+            n = len(word)
+            while pos < n:
+                rule = match_at(word, pos)
+                if rule is not None:
+                    break
+                pos += 1
+        if rule is None:
+            return _monoid_word(alphabet, word), YSequence(log_terms)
         steps += 1
         if steps > limits.max_steps:
             raise BudgetError(
-                f"reduction budget exceeded on {MonoidWord(w.alphabet, word)!r}"
+                f"reduction budget exceeded on {_monoid_word(alphabet, word)!r}"
             )
-        pos, rule = hit
-        prefix = GroupWord(w.alphabet, word[:pos])
-        contribution = act(rule.log, inverse(prefix))
+        while k < pos:
+            c = word[k]
+            if inv and inv[-1] == c:
+                undo.append(inv.pop())
+            else:
+                inv.append(c ^ 1)
+                undo.append(-1)
+            k += 1
+        while k > pos:
+            c = undo.pop()
+            if c < 0:
+                inv.pop()
+            else:
+                inv.append(c)
+            k -= 1
+        contribution = act(rule.log, _group_word(alphabet, tuple(inv[::-1])))
         log_terms.extend(contribution.terms)
-        word = word[:pos] + rule.rhs.letters + word[pos + len(rule.lhs) :]
+        rhs = rule.rhs.letters
+        word = word[:pos] + rhs + word[pos + len(rule.lhs.letters) :]
         if len(word) > limits.max_word_len:
             raise BudgetError(
                 f"word length budget exceeded while reducing {w!r}"
             )
+        if rightmost:
+            pos = min(pos + len(rhs) - 1, len(word) - 1)
+        else:
+            pos = max(pos - maxlhs + 1, 0)
 
 
 def normal_form_fn(sys: LoggedRewriteSystem) -> Callable[[MonoidWord], MonoidWord]:

@@ -7,6 +7,7 @@ from logrewrite.presentation import parse_presentation
 from logrewrite.rewriting import (
     MAX_PASSES,
     MAX_RULES,
+    BudgetError,
     Limits,
     LoggedRewriteSystem,
     LoggedRule,
@@ -20,15 +21,18 @@ from logrewrite.rewriting import (
     process_overlap,
 )
 from logrewrite.words import (
+    GroupWord,
     MonoidWord,
     WordError,
     free_multiply,
+    inverse,
     mu_inverse,
     parse_monoid,
     render_monoid,
 )
 from logrewrite.ysequences import (
     YSequence,
+    act,
     boundary_in,
     render_ysequence,
     simplify,
@@ -102,6 +106,123 @@ class TestLoggedReduce:
         w = parse_monoid(q8.alphabet, "bbbb")
         with pytest.raises(BudgetError):
             logged_reduce(w, q8_system, Limits(max_steps=1))
+
+
+def rescan_reduce(w, sys, limits=Limits(), rightmost=False):
+    """Reference logged reduction: rescan the whole word after every
+    rewrite and rebuild the inverse prefix from scratch.  Returns the
+    normal form, the log and the number of rewrites."""
+    word = w.letters
+    log_terms = []
+    steps = 0
+    while True:
+        hit = None
+        positions = range(len(word))
+        if rightmost:
+            positions = range(len(word) - 1, -1, -1)
+        for pos in positions:
+            rule = sys.match_at(word, pos)
+            if rule is not None:
+                hit = (pos, rule)
+                break
+        if hit is None:
+            return MonoidWord(w.alphabet, word), YSequence(log_terms), steps
+        steps += 1
+        if steps > limits.max_steps:
+            raise BudgetError(
+                f"reduction budget exceeded on {MonoidWord(w.alphabet, word)!r}"
+            )
+        pos, rule = hit
+        prefix = GroupWord(w.alphabet, word[:pos])
+        log_terms.extend(act(rule.log, inverse(prefix)).terms)
+        word = word[:pos] + rule.rhs.letters + word[pos + len(rule.lhs) :]
+
+
+D20_TEXT = """\
+generators: a, b
+order: shortlex
+relators:
+  r1 = a^20
+  r2 = b^2
+  r3 = a b a b
+"""
+
+
+NESTED_TEXT = """\
+generators: a, b
+order: shortlex
+relators:
+  r1 = a^3 b
+  r2 = a^2
+"""
+
+
+def _reduce_systems():
+    """The complete Q8, D20, trefoil and Z^2 systems, the initial Q8
+    system, which is not complete, and an initial system in which the
+    lhs ``aa`` of rule 2 is a prefix of the lhs ``aaab`` of rule 1, so
+    that two rules match at one position and the lowest id decides."""
+    out = {}
+    for name, text in (
+        ("q8", Q8_TEXT),
+        ("d20", D20_TEXT),
+        ("trefoil", TREFOIL_TEXT),
+        ("z2", ABELIAN_TEXT),
+    ):
+        out[name] = complete_presentation(parse_presentation(text)).final_system
+    out["q8-initial"] = initial_logged_system(parse_presentation(Q8_TEXT))
+    out["nested"] = initial_logged_system(parse_presentation(NESTED_TEXT))
+    return out
+
+
+REDUCE_SYSTEMS = _reduce_systems()
+
+
+def sized_words_over(alphabet, max_size=200):
+    """Words whose length is drawn uniformly from 0..max_size, so long
+    words, which reach past the resume window, are as likely as short."""
+    n = 2 * len(alphabet)
+    return st.integers(min_value=0, max_value=max_size).flatmap(
+        lambda size: st.lists(
+            st.integers(min_value=0, max_value=n - 1),
+            min_size=size,
+            max_size=size,
+        ).map(lambda ls: MonoidWord(alphabet, ls))
+    )
+
+
+class TestResumingReduce:
+    """``logged_reduce`` resumes after each rewrite; it must rewrite
+    exactly as the rescan-from-the-start reference does."""
+
+    def test_lowest_id_decides_at_a_position(self):
+        first, second = REDUCE_SYSTEMS["nested"].rules[:2]
+        word = first.lhs.letters
+        assert word[: len(second.lhs)] == second.lhs.letters
+        assert REDUCE_SYSTEMS["nested"].match_at(word, 0) is first
+
+    @pytest.mark.parametrize("rightmost", [False, True], ids=["left", "right"])
+    @pytest.mark.parametrize("name", sorted(REDUCE_SYSTEMS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_same_rewrites_as_rescan(self, name, rightmost, data):
+        sys = REDUCE_SYSTEMS[name]
+        w = data.draw(sized_words_over(sys.presentation.alphabet))
+        nf, log = logged_reduce(w, sys, rightmost=rightmost)
+        ref_nf, ref_log, steps = rescan_reduce(w, sys, rightmost=rightmost)
+        assert nf == ref_nf
+        assert log.terms == ref_log.terms
+        # a step budget trips on the same rewrite, with the same word
+        budget = data.draw(st.integers(min_value=0, max_value=steps))
+        limits = Limits(max_steps=budget)
+        if budget < steps:
+            with pytest.raises(BudgetError) as got:
+                logged_reduce(w, sys, limits, rightmost=rightmost)
+            with pytest.raises(BudgetError) as want:
+                rescan_reduce(w, sys, limits, rightmost=rightmost)
+            assert str(got.value) == str(want.value)
+        else:
+            assert logged_reduce(w, sys, limits, rightmost=rightmost) == (nf, log)
 
 
 class TestNormalFormFn:
