@@ -49,4 +49,4 @@ print(f"{len(result.records)} relator cycles give {len(result.kept)} "
       "generators after discarding duplicates:\n")
 for rec in result.records:
     tag = f"[{render_monoid(rec.vertex)}, {rec.relator.label}]"
-    print(f"  {tag:10s} {rec.status:13s} {render_ysequence(rec.reduced)}")
+    print(f"  {tag:10s} {rec.status:13s} {render_ysequence(rec.sequence)}")

@@ -4,131 +4,46 @@ Completion of a group presentation into a logged rewrite system, where
 every rule carries a Y-sequence witnessing how it follows from the
 relators; Cayley graphs over the complete system; and generating sets
 for the module of identities among the relations.
+
+The top level holds the entry points the CLI, the demos and the README
+use, and the exception types; everything else is imported from its
+module (``logrewrite.words``, ``logrewrite.rewriting``, ...).
 """
 
-from .words import (
-    Alphabet,
-    GroupWord,
-    MonoidWord,
-    WordError,
-    conjugate,
-    free_multiply,
-    inverse,
-    mu,
-    mu_inverse,
-    parse_group,
-    parse_monoid,
-    power,
-    render_group,
-    render_monoid,
-)
-from .orderings import OrderSpec, shortlex_compare, syllable_compare
-from .ysequences import (
-    RelatorRef,
-    YSequence,
-    YTerm,
-    act,
-    boundary,
-    cancel_adjacent,
-    invert,
-    is_primary_identity,
-    parse_ysequence,
-    render_ysequence,
-    simplify,
-)
-from .presentation import (
-    ParseError,
-    Presentation,
-    initial_logged_rules,
-    parse_presentation,
-)
+from .words import WordError, parse_group, parse_monoid, render_monoid
+from .ysequences import render_ysequence, simplify
+from .presentation import ParseError, parse_presentation
 from .rewriting import (
     BudgetError,
-    CompletionReport,
-    Limits,
-    LoggedRewriteSystem,
-    LoggedRule,
     complete_presentation,
     find_overlaps,
-    initial_logged_system,
-    logged_knuth_bendix,
     logged_reduce,
-    normal_form_fn,
 )
 from .identities import (
-    CayleyGraph,
-    Edge,
-    IdentityRecord,
     InfiniteGroupError,
-    PipelineResult,
-    build_cayley_graph,
-    compute_k1,
     identities_pipeline,
     identity_for,
     k1_for,
-    relator_cycle_edges,
-    separation_identity,
-    simplify_identity_list,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet",
     "BudgetError",
-    "CayleyGraph",
-    "CompletionReport",
-    "Edge",
-    "GroupWord",
-    "IdentityRecord",
     "InfiniteGroupError",
-    "Limits",
-    "LoggedRewriteSystem",
-    "LoggedRule",
-    "MonoidWord",
-    "OrderSpec",
     "ParseError",
-    "PipelineResult",
-    "Presentation",
-    "RelatorRef",
     "WordError",
-    "YSequence",
-    "YTerm",
-    "act",
-    "boundary",
-    "build_cayley_graph",
-    "cancel_adjacent",
     "complete_presentation",
-    "compute_k1",
-    "conjugate",
     "find_overlaps",
-    "free_multiply",
     "identities_pipeline",
     "identity_for",
-    "initial_logged_rules",
-    "initial_logged_system",
-    "inverse",
-    "invert",
-    "is_primary_identity",
     "k1_for",
-    "logged_knuth_bendix",
     "logged_reduce",
-    "mu",
-    "mu_inverse",
-    "normal_form_fn",
     "parse_group",
     "parse_monoid",
     "parse_presentation",
-    "parse_ysequence",
-    "power",
-    "relator_cycle_edges",
-    "render_group",
     "render_monoid",
     "render_ysequence",
-    "separation_identity",
-    "shortlex_compare",
     "simplify",
-    "simplify_identity_list",
-    "syllable_compare",
     "__version__",
 ]

@@ -12,7 +12,7 @@ identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .presentation import Presentation
 from .rewriting import (
@@ -211,9 +211,6 @@ class IdentityRecord:
     relator: RelatorRef
     sequence: YSequence  # as produced by separation_identity
     status: str = KEPT
-    # set to ``sequence`` by simplify_identity_list, which shows every
-    # record as its relator cycle produced it
-    reduced: YSequence = field(default=None)
 
 
 def _sort_key(r: IdentityRecord) -> tuple:
@@ -288,7 +285,6 @@ def simplify_identity_list(
     vertex_words.discard(())
     for rec in ordered:
         seq = rec.sequence
-        rec.reduced = seq
         if seq.is_empty():
             rec.status = TRIVIAL
             continue

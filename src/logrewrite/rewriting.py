@@ -65,10 +65,10 @@ class LoggedRule:
 class LoggedRewriteSystem:
     """Logged rules, kept in id order: the constructor sorts them once,
     new rules (with larger ids) are appended, and interreduction replaces
-    a rule at its own index.  Call ``_rebuild_index`` after a change; it
-    rebuilds the first-letter buckets, the id lookup and ``_maxlhs``, the
-    length of the longest lhs, which bounds how far ``logged_reduce``
-    rescans after a rewrite."""
+    or deletes a rule at its own index.  Call ``_rebuild_index`` after a
+    change; it rebuilds the first-letter buckets, the id lookup and
+    ``_maxlhs``, the length of the longest lhs, which bounds how far
+    ``logged_reduce`` rescans after a rewrite."""
 
     def __init__(
         self,
@@ -96,11 +96,14 @@ class LoggedRewriteSystem:
     def rules_by_id(self) -> list[LoggedRule]:
         return list(self.rules)
 
-    def match_at(self, word: tuple, pos: int) -> Optional[LoggedRule]:
-        """Lowest-id rule whose lhs occurs at ``pos``."""
+    def match_at(
+        self, word: tuple, pos: int, *, exclude: int = 0
+    ) -> Optional[LoggedRule]:
+        """Lowest-id rule whose lhs occurs at ``pos``, skipping the rule
+        with id ``exclude`` (ids start at 1, so 0 skips none)."""
         for rule in self._by_first.get(word[pos], ()):
             lhs = rule.lhs.letters
-            if word[pos : pos + len(lhs)] == lhs:
+            if word[pos : pos + len(lhs)] == lhs and rule.id != exclude:
                 return rule
         return None
 
@@ -118,21 +121,21 @@ def logged_reduce(
     sys: LoggedRewriteSystem,
     limits: Limits = Limits(),
     *,
-    rightmost: bool = False,
+    exclude: int = 0,
 ) -> tuple[MonoidWord, YSequence]:
     """Reduce ``w`` to an irreducible word, recording the log.
 
-    Deterministic: leftmost match, lowest rule id on ties (``rightmost``
-    flips the scan direction; used by the confluence checks).
+    Deterministic: leftmost match, lowest rule id on ties.  The rule with
+    id ``exclude`` is skipped, so the result is that of the system
+    without it (interreduction tests a rule against the others this
+    way); the default 0 skips none.
 
     After a rewrite at ``pos`` the scan resumes near ``pos`` instead of
-    restarting, and makes the same rewrites as a full rescan would.
-    Leftmost: no match started before ``pos``, and a match starting
-    before ``pos - _maxlhs + 1`` would lie inside the unchanged
-    ``word[:pos]``, so the scan goes on from there.  Rightmost: every
-    suffix starting at or after ``pos + len(rhs)`` is an unchanged suffix
-    of the old word and held no match, so the scan goes on downward from
-    ``pos + len(rhs) - 1``.
+    restarting, and makes the same rewrites as a full rescan would: no
+    match started before ``pos``, and a match starting before
+    ``pos - _maxlhs + 1`` would lie inside the unchanged ``word[:pos]``,
+    so the scan goes on from there (``_maxlhs`` may count the excluded
+    rule; a longer window only rescans more).
 
     The inverse prefix is kept at a cursor ``k``: ``inv`` is the free
     reduction of ``word[:k]`` with every letter flipped, so ``inv[::-1]``
@@ -150,22 +153,15 @@ def logged_reduce(
     undo: list[int] = []
     k = 0
     steps = 0
-    pos = len(word) - 1 if rightmost else 0
+    pos = 0
     while True:
         rule = None
-        if rightmost:
-            while pos >= 0:
-                rule = match_at(word, pos)
-                if rule is not None:
-                    break
-                pos -= 1
-        else:
-            n = len(word)
-            while pos < n:
-                rule = match_at(word, pos)
-                if rule is not None:
-                    break
-                pos += 1
+        n = len(word)
+        while pos < n:
+            rule = match_at(word, pos, exclude=exclude)
+            if rule is not None:
+                break
+            pos += 1
         if rule is None:
             return _monoid_word(alphabet, word), YSequence(log_terms)
         steps += 1
@@ -196,10 +192,7 @@ def logged_reduce(
             raise BudgetError(
                 f"word length budget exceeded while reducing {w!r}"
             )
-        if rightmost:
-            pos = min(pos + len(rhs) - 1, len(word) - 1)
-        else:
-            pos = max(pos - maxlhs + 1, 0)
+        pos = max(pos - maxlhs + 1, 0)
 
 
 def normal_form_fn(sys: LoggedRewriteSystem) -> Callable[[MonoidWord], MonoidWord]:
@@ -432,7 +425,11 @@ def logged_knuth_bendix(
 def _interreduce(
     sys: LoggedRewriteSystem, limits: Limits, *, raw_logs: bool
 ) -> int:
-    """Remove joinable redundant rules and normalise right-hand sides."""
+    """Remove joinable redundant rules and normalise right-hand sides.
+
+    Each rule is tested against the others by reducing with
+    ``exclude=rule.id`` over the live rule table; no system is rebuilt.
+    """
     removed = 0
     changed = True
     while changed:
@@ -441,20 +438,17 @@ def _interreduce(
         # earlier derivation is the one kept
         for i in range(len(sys.rules) - 1, -1, -1):
             rule = sys.rules[i]
-            others = LoggedRewriteSystem(
-                sys.presentation, sys.order, sys.rules[:i] + sys.rules[i + 1 :]
-            )
-            z1, _ = logged_reduce(rule.lhs, others, limits)
+            z1, _ = logged_reduce(rule.lhs, sys, limits, exclude=rule.id)
             if z1 != rule.lhs:
-                z2, _ = logged_reduce(rule.rhs, others, limits)
+                z2, _ = logged_reduce(rule.rhs, sys, limits, exclude=rule.id)
                 if z1 == z2:
-                    sys.rules = others.rules
+                    del sys.rules[i]
                     sys._rebuild_index()
                     removed += 1
                     changed = True
                     break
                 continue  # unresolved pair; leave for the completion loop
-            z2, d2 = logged_reduce(rule.rhs, others, limits)
+            z2, d2 = logged_reduce(rule.rhs, sys, limits, exclude=rule.id)
             if z2 != rule.rhs:
                 log = rule.log.concat(d2)
                 if not raw_logs:

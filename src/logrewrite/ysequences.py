@@ -245,20 +245,20 @@ def _sandwich_once(terms: tuple, use_root: bool):
     return None
 
 
-def _transpositions(terms: tuple, use_root: bool, max_conj: int):
+def _transpositions(terms: tuple, max_conj: int):
     """Neighbours under the Peiffer exchange rule, both directions."""
     for i in range(len(terms) - 1):
         a, b = terms[i], terms[i + 1]
         # move a rightwards: (a b) -> (b a^{delta b})
         moved = YTerm(a.relator, a.sign, free_multiply(a.conjugator, b.boundary()))
-        moved = _strip_conjugator(moved, use_root)
+        moved = _strip_conjugator(moved, True)
         if len(moved.conjugator) <= max_conj:
             yield terms[:i] + (b, moved) + terms[i + 2 :]
         # move b leftwards: (a b) -> (b^{(delta a)^-1} a)
         moved = YTerm(
             b.relator, b.sign, free_multiply(b.conjugator, inverse(a.boundary()))
         )
-        moved = _strip_conjugator(moved, use_root)
+        moved = _strip_conjugator(moved, True)
         if len(moved.conjugator) <= max_conj:
             yield terms[:i] + (moved, a) + terms[i + 2 :]
 
@@ -337,7 +337,7 @@ def simplify(s: YSequence) -> YSequence:
         if not terms:
             return EMPTY
         expanded += 1
-        for nxt in _transpositions(terms, True, max_conj):
+        for nxt in _transpositions(terms, max_conj):
             nxt = _closure(nxt, True)
             key = _seq_key(nxt)
             if key in seen:

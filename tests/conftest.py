@@ -5,6 +5,9 @@ from logrewrite import (
     identities_pipeline,
     parse_presentation,
 )
+from logrewrite.rewriting import BudgetError, Limits
+from logrewrite.words import GroupWord, MonoidWord, inverse
+from logrewrite.ysequences import YSequence, act
 
 Q8_TEXT = """\
 generators: a, b
@@ -74,3 +77,35 @@ def trefoil_report(trefoil):
 @pytest.fixture(scope="session")
 def trefoil_system(trefoil_report):
     return trefoil_report.final_system
+
+
+def rescan_reduce(w, sys, limits=Limits(), rightmost=False):
+    """Reference logged reduction: rescan the whole word after every
+    rewrite and rebuild the inverse prefix from scratch.  Returns the
+    normal form, the log and the number of rewrites.  ``rightmost`` scans
+    from the right end instead, for the confluence checks: on a complete
+    system both directions reach the same normal form."""
+    word = w.letters
+    log_terms = []
+    steps = 0
+    while True:
+        hit = None
+        positions = range(len(word))
+        if rightmost:
+            positions = range(len(word) - 1, -1, -1)
+        for pos in positions:
+            rule = sys.match_at(word, pos)
+            if rule is not None:
+                hit = (pos, rule)
+                break
+        if hit is None:
+            return MonoidWord(w.alphabet, word), YSequence(log_terms), steps
+        steps += 1
+        if steps > limits.max_steps:
+            raise BudgetError(
+                f"reduction budget exceeded on {MonoidWord(w.alphabet, word)!r}"
+            )
+        pos, rule = hit
+        prefix = GroupWord(w.alphabet, word[:pos])
+        log_terms.extend(act(rule.log, inverse(prefix)).terms)
+        word = word[:pos] + rule.rhs.letters + word[pos + len(rule.lhs) :]

@@ -185,7 +185,7 @@ class TestSimplifyIdentityList:
         primary = by_status[PRIMARY][0]
         assert (render_monoid(primary.vertex), primary.relator.label) == ("A", "r2")
         assert (
-            render_ysequence(primary.reduced)
+            render_ysequence(primary.sequence)
             == "(r2^-) (r1^-)^{a^-1} (r2^+)^{a^-1 a^-1 a^-1 a^-1} (r1^+)^{a^-1}"
         )
 
@@ -207,7 +207,7 @@ class TestSimplifyIdentityList:
         b = identities_pipeline(q8)
         render = lambda res: [
             (render_monoid(r.vertex), r.relator.label, r.status,
-             render_ysequence(r.reduced))
+             render_ysequence(r.sequence))
             for r in res.records
         ]
         assert render(a) == render(b)

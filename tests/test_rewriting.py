@@ -21,24 +21,16 @@ from logrewrite.rewriting import (
     process_overlap,
 )
 from logrewrite.words import (
-    GroupWord,
     MonoidWord,
     WordError,
     free_multiply,
-    inverse,
     mu_inverse,
     parse_monoid,
     render_monoid,
 )
-from logrewrite.ysequences import (
-    YSequence,
-    act,
-    boundary_in,
-    render_ysequence,
-    simplify,
-)
+from logrewrite.ysequences import YSequence, boundary_in, render_ysequence
 
-from tests.conftest import ABELIAN_TEXT, Q8_TEXT, TREFOIL_TEXT
+from tests.conftest import ABELIAN_TEXT, Q8_TEXT, TREFOIL_TEXT, rescan_reduce
 
 
 def words_over(alphabet, max_size=10):
@@ -48,9 +40,9 @@ def words_over(alphabet, max_size=10):
     ).map(lambda ls: MonoidWord(alphabet, ls))
 
 
-def check_logging_invariant(word, system, rightmost=False):
+def check_logging_invariant(word, system):
     """w = (boundary of the log) . (normal form) in the free group."""
-    nf, log = logged_reduce(word, system, rightmost=rightmost)
+    nf, log = logged_reduce(word, system)
     assert mu_inverse(word) == free_multiply(
         boundary_in(log, word.alphabet), mu_inverse(nf)
     )
@@ -97,7 +89,7 @@ class TestLoggedReduce:
     def test_leftmost_rightmost_confluent(self, q8, q8_system, data):
         w = data.draw(words_over(q8.alphabet))
         left, _ = logged_reduce(w, q8_system)
-        right, _ = logged_reduce(w, q8_system, rightmost=True)
+        right = rescan_reduce(w, q8_system, rightmost=True)[0]
         assert left == right
 
     def test_budget(self, q8, q8_system):
@@ -106,36 +98,6 @@ class TestLoggedReduce:
         w = parse_monoid(q8.alphabet, "bbbb")
         with pytest.raises(BudgetError):
             logged_reduce(w, q8_system, Limits(max_steps=1))
-
-
-def rescan_reduce(w, sys, limits=Limits(), rightmost=False):
-    """Reference logged reduction: rescan the whole word after every
-    rewrite and rebuild the inverse prefix from scratch.  Returns the
-    normal form, the log and the number of rewrites."""
-    word = w.letters
-    log_terms = []
-    steps = 0
-    while True:
-        hit = None
-        positions = range(len(word))
-        if rightmost:
-            positions = range(len(word) - 1, -1, -1)
-        for pos in positions:
-            rule = sys.match_at(word, pos)
-            if rule is not None:
-                hit = (pos, rule)
-                break
-        if hit is None:
-            return MonoidWord(w.alphabet, word), YSequence(log_terms), steps
-        steps += 1
-        if steps > limits.max_steps:
-            raise BudgetError(
-                f"reduction budget exceeded on {MonoidWord(w.alphabet, word)!r}"
-            )
-        pos, rule = hit
-        prefix = GroupWord(w.alphabet, word[:pos])
-        log_terms.extend(act(rule.log, inverse(prefix)).terms)
-        word = word[:pos] + rule.rhs.letters + word[pos + len(rule.lhs) :]
 
 
 D20_TEXT = """\
@@ -201,15 +163,17 @@ class TestResumingReduce:
         assert word[: len(second.lhs)] == second.lhs.letters
         assert REDUCE_SYSTEMS["nested"].match_at(word, 0) is first
 
-    @pytest.mark.parametrize("rightmost", [False, True], ids=["left", "right"])
-    @pytest.mark.parametrize("name", sorted(REDUCE_SYSTEMS))
+    # "-left" names the scan direction, as in the ids of earlier runs
+    @pytest.mark.parametrize(
+        "name", sorted(REDUCE_SYSTEMS), ids=lambda name: f"{name}-left"
+    )
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_same_rewrites_as_rescan(self, name, rightmost, data):
+    def test_same_rewrites_as_rescan(self, name, data):
         sys = REDUCE_SYSTEMS[name]
         w = data.draw(sized_words_over(sys.presentation.alphabet))
-        nf, log = logged_reduce(w, sys, rightmost=rightmost)
-        ref_nf, ref_log, steps = rescan_reduce(w, sys, rightmost=rightmost)
+        nf, log = logged_reduce(w, sys)
+        ref_nf, ref_log, steps = rescan_reduce(w, sys)
         assert nf == ref_nf
         assert log.terms == ref_log.terms
         # a step budget trips on the same rewrite, with the same word
@@ -217,12 +181,55 @@ class TestResumingReduce:
         limits = Limits(max_steps=budget)
         if budget < steps:
             with pytest.raises(BudgetError) as got:
-                logged_reduce(w, sys, limits, rightmost=rightmost)
+                logged_reduce(w, sys, limits)
             with pytest.raises(BudgetError) as want:
-                rescan_reduce(w, sys, limits, rightmost=rightmost)
+                rescan_reduce(w, sys, limits)
             assert str(got.value) == str(want.value)
         else:
-            assert logged_reduce(w, sys, limits, rightmost=rightmost) == (nf, log)
+            assert logged_reduce(w, sys, limits) == (nf, log)
+
+
+class TestExclude:
+    """Reducing with ``exclude=r.id`` is reducing over the system
+    rebuilt without ``r``; the rebuilt system is the reference."""
+
+    def test_match_at_skips_only_the_excluded_id(self):
+        sys = REDUCE_SYSTEMS["nested"]
+        first, second = sys.rules[:2]
+        word = first.lhs.letters
+        assert sys.match_at(word, 0, exclude=second.id) is first
+        assert sys.match_at(word, 0, exclude=first.id) is second
+
+    def test_every_lhs_against_the_others(self):
+        for sys in REDUCE_SYSTEMS.values():
+            for rule in sys.rules:
+                others = LoggedRewriteSystem(
+                    sys.presentation,
+                    sys.order,
+                    [r for r in sys.rules if r.id != rule.id],
+                )
+                nf, log = logged_reduce(rule.lhs, sys, exclude=rule.id)
+                ref_nf, ref_log = logged_reduce(rule.lhs, others)
+                assert nf == ref_nf
+                assert log.terms == ref_log.terms
+
+    @pytest.mark.parametrize("name", sorted(REDUCE_SYSTEMS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_same_as_rebuilt_without_the_rule(self, name, data):
+        sys = REDUCE_SYSTEMS[name]
+        rule = data.draw(st.sampled_from(sys.rules))
+        if data.draw(st.booleans()):
+            w = rule.lhs  # what interreduction feeds
+        else:
+            w = data.draw(sized_words_over(sys.presentation.alphabet))
+        others = LoggedRewriteSystem(
+            sys.presentation, sys.order, [r for r in sys.rules if r.id != rule.id]
+        )
+        nf, log = logged_reduce(w, sys, exclude=rule.id)
+        ref_nf, ref_log = logged_reduce(w, others)
+        assert nf == ref_nf
+        assert log.terms == ref_log.terms
 
 
 class TestNormalFormFn:
