@@ -82,7 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_id)
     p_id.add_argument("--keep-all", action="store_true",
                       help="show discarded records with their statuses")
-    p_id.add_argument("--emit", choices=("kept", "raw", "k1"), default="kept")
     p_id.add_argument("--vertex-cap", type=int, default=10_000)
 
     p_kone = sub.add_parser("kone", help="k1 on every edge of the Cayley graph")
@@ -187,7 +186,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     report = _complete_or_die(p, args)
     system = report.final_system
     word = mu(parse_group(p.alphabet, args.word))
-    nf, log = logged_reduce(word, system, _limits(args))
+    nf, log = logged_reduce(word, system)
     log = simplify(log)
     if args.fmt == "json":
         payload = {
@@ -225,9 +224,11 @@ def _k1_rows(graph) -> list[tuple[str, str, str, str]]:
     return rows
 
 
-def _print_k1(graph, fmt: str) -> int:
-    rows = _k1_rows(graph)
-    if fmt == "json":
+def _cmd_kone(args: argparse.Namespace) -> int:
+    p = _load(args)
+    report = _complete_or_die(p, args)
+    rows = _k1_rows(build_cayley_graph(report.final_system, args.vertex_cap))
+    if args.fmt == "json":
         payload = [
             {"edge": r[0], "target": r[1], "word": r[2], "k1": r[3]}
             for r in rows[1:]
@@ -238,21 +239,10 @@ def _print_k1(graph, fmt: str) -> int:
     return 0
 
 
-def _cmd_kone(args: argparse.Namespace) -> int:
-    p = _load(args)
-    report = _complete_or_die(p, args)
-    graph = build_cayley_graph(report.final_system, args.vertex_cap, _limits(args))
-    return _print_k1(graph, args.fmt)
-
-
 def _cmd_identities(args: argparse.Namespace) -> int:
     p = _load(args)
     result = identities_pipeline(p, _limits(args), args.vertex_cap)
-    if args.emit == "k1":
-        return _print_k1(result.graph, args.fmt)
-    records = result.records
-    if args.emit == "kept" and not args.keep_all:
-        records = result.kept
+    records = result.records if args.keep_all else result.kept
     if args.fmt == "json":
         payload = [
             {
@@ -296,10 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
-    except (WordError, BudgetError, InfiniteGroupError) as exc:
+    except (FileNotFoundError, WordError, BudgetError, InfiniteGroupError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

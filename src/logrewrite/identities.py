@@ -42,7 +42,7 @@ from .ysequences import (
     YSequence,
     YTerm,
     act,
-    boundary_in,
+    boundary,
     cancel_adjacent,
     invert,
     is_primary_identity,
@@ -86,21 +86,19 @@ class CayleyGraph:
         return len(self.vertices)
 
 
-def compute_k1(
-    sys: LoggedRewriteSystem, g: MonoidWord, gen: int, limits: Limits = Limits()
-) -> YSequence:
+def compute_k1(sys: LoggedRewriteSystem, g: MonoidWord, gen: int) -> YSequence:
     """The chosen value k1[g, x]: the empty sequence when (sigma g)x is
     already irreducible, else the simplified log of reducing
     ``(sigma g) x (sigma(g x))^-1`` to the empty word."""
     alphabet = sys.presentation.alphabet
     step = _monoid_word(alphabet, g.letters + (2 * gen,))
-    target, _ = logged_reduce(step, sys, limits)
+    target, _ = logged_reduce(step, sys)
     if target == step:
         return YSequence()
     full = mu(
         free_multiply(mu_inverse(step), inverse(mu_inverse(target)))
     )
-    reduced, log = logged_reduce(full, sys, limits)
+    reduced, log = logged_reduce(full, sys)
     if len(reduced):  # pragma: no cover - target is the normal form of step
         raise WordError(f"k1 word {full!r} did not reduce to the identity")
     # cancellation, conjugator absorption and term-wise root absorption
@@ -115,9 +113,7 @@ def compute_k1(
 
 
 def build_cayley_graph(
-    sys: LoggedRewriteSystem,
-    vertex_cap: int = 10_000,
-    limits: Limits = Limits(),
+    sys: LoggedRewriteSystem, vertex_cap: int = 10_000
 ) -> CayleyGraph:
     """Breadth-first closure from the identity under right multiplication
     by the positive generators, with chosen k1 on every edge."""
@@ -135,7 +131,7 @@ def build_cayley_graph(
         for g in frontier:
             for gen in range(len(alphabet)):
                 step = _monoid_word(alphabet, g.letters + (2 * gen,))
-                target, _ = logged_reduce(step, sys, limits)
+                target, _ = logged_reduce(step, sys)
                 if target not in index:
                     if len(vertices) >= vertex_cap:
                         raise InfiniteGroupError(
@@ -148,7 +144,7 @@ def build_cayley_graph(
                 targets[(g, gen)] = target
         frontier = next_frontier
     for (g, gen), target in targets.items():
-        edges[(g, gen)] = Edge(g, gen, target, compute_k1(sys, g, gen, limits))
+        edges[(g, gen)] = Edge(g, gen, target, compute_k1(sys, g, gen))
     return CayleyGraph(sys, vertices, edges)
 
 
@@ -190,7 +186,7 @@ def separation_identity(
         cycle = cycle.concat(e.k1 if direction > 0 else invert(e.k1))
     head = YSequence([YTerm(rho, NEG, GroupWord(alphabet))])
     iota = cancel_adjacent(head.concat(act(cycle, mu_inverse(g))))
-    if not boundary_in(iota, alphabet).is_identity():  # pragma: no cover
+    if not boundary(iota, alphabet).is_identity():  # pragma: no cover
         raise WordError(f"cycle identity for [{g!r}, {rho!r}] has a boundary")
     return iota
 
@@ -250,7 +246,7 @@ def _translates_to_kept(c: YSequence, kept_orbits: dict, vertex_words: set) -> b
 
 
 def simplify_identity_list(
-    records: list[IdentityRecord], nf, graph: CayleyGraph
+    records: list[IdentityRecord], graph: CayleyGraph
 ) -> list[IdentityRecord]:
     """Sort by (length, relator labels) and discard the redundant records.
 
@@ -272,11 +268,13 @@ def simplify_identity_list(
     lookup and one product per kept form in that orbit, and it decides
     the same as scanning every vertex.
 
+    The primary test reduces with ``graph.sys``, which is complete.
     Records longer than ``PRIMARY_MAX_TERMS`` skip the pairing search and
     are not primary.  A shorter record with a non-trivial boundary makes
     the primary test raise ``WordError``.
     """
     alphabet = graph.sys.presentation.alphabet
+    nf = normal_form_fn(graph.sys)
     ordered = sorted(records, key=_sort_key)
     kept_forms: set[YSequence] = set()
     # orbit key -> the first conjugators of the kept forms with that key
@@ -334,13 +332,13 @@ def identities_pipeline(
             f"completion stopped ({report.stopped}); adjust the ordering or limits"
         )
     sys = report.final_system
-    graph = build_cayley_graph(sys, vertex_cap, limits)
+    graph = build_cayley_graph(sys, vertex_cap)
     records = [
         IdentityRecord(g, rho, separation_identity(g, rho, graph))
         for g in graph.vertices
         for rho in p.relators
     ]
-    records = simplify_identity_list(records, normal_form_fn(sys), graph)
+    records = simplify_identity_list(records, graph)
     return PipelineResult(report, graph, records)
 
 
@@ -351,14 +349,13 @@ def identity_for(
     sys: LoggedRewriteSystem,
     g: GroupWord,
     rho: RelatorRef,
-    limits: Limits = Limits(),
 ) -> YSequence:
     """A single separation identity for a user-supplied group element,
     without building the (possibly infinite) Cayley graph."""
-    n, _ = logged_reduce(mu(g), sys, limits)
+    n, _ = logged_reduce(mu(g), sys)
     sigma = mu_inverse(n)
     word = mu(free_multiply(free_multiply(sigma, rho.word), inverse(sigma)))
-    reduced, log = logged_reduce(word, sys, limits)
+    reduced, log = logged_reduce(word, sys)
     if len(reduced):  # pragma: no cover - conjugates of relators are trivial
         raise WordError(f"conjugated relator {word!r} did not reduce to the identity")
     head = YSequence([YTerm(rho, NEG, inverse(sigma))])
@@ -369,9 +366,8 @@ def k1_for(
     sys: LoggedRewriteSystem,
     g: GroupWord,
     gen_name: str,
-    limits: Limits = Limits(),
 ) -> YSequence:
     """The sampled edge value k1[g, x] for a user-supplied group element."""
-    n, _ = logged_reduce(mu(g), sys, limits)
+    n, _ = logged_reduce(mu(g), sys)
     gen = sys.presentation.alphabet.index(gen_name)
-    return compute_k1(sys, n, gen, limits)
+    return compute_k1(sys, n, gen)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Callable, Iterable, Optional, Union
 
-from .orderings import GT, LT, OrderSpec
+from .orderings import GT, LT
 from .presentation import Presentation, initial_logged_rules
 from .words import (
     MonoidWord,
@@ -28,7 +28,7 @@ from .words import (
 from .ysequences import (
     YSequence,
     act,
-    boundary_in,
+    boundary,
     invert,
     peiffer_closure,
 )
@@ -38,12 +38,17 @@ class BudgetError(RuntimeError):
     """A reduction or completion limit was exceeded."""
 
 
+# the budgets of a single logged reduction
+REDUCE_MAX_STEPS = 100_000
+REDUCE_MAX_WORD_LEN = 10_000
+
+
 @dataclass(frozen=True)
 class Limits:
+    """The bounds of a completion: rules in the system and passes run."""
+
     max_rules: int = 10_000
     max_passes: int = 100
-    max_word_len: int = 10_000
-    max_steps: int = 100_000
 
 
 @dataclass(frozen=True)
@@ -57,7 +62,7 @@ class LoggedRule:
         """The defining identity l = (delta c) r in F(X)."""
         lhs = mu_inverse(self.lhs)
         rhs = free_multiply(
-            boundary_in(self.log, self.lhs.alphabet), mu_inverse(self.rhs)
+            boundary(self.log, self.lhs.alphabet), mu_inverse(self.rhs)
         )
         return lhs == rhs
 
@@ -70,17 +75,10 @@ class LoggedRewriteSystem:
     ``_maxlhs``, the length of the longest lhs, which bounds how far
     ``logged_reduce`` rescans after a rewrite."""
 
-    def __init__(
-        self,
-        presentation: Presentation,
-        order: OrderSpec,
-        rules: Iterable[LoggedRule],
-        complete: bool = False,
-    ):
+    def __init__(self, presentation: Presentation, rules: Iterable[LoggedRule]):
         self.presentation = presentation
-        self.order = order
         self.rules = sorted(rules, key=attrgetter("id"))
-        self.complete = complete
+        self.complete = False
         self._rebuild_index()
 
     def _rebuild_index(self) -> None:
@@ -113,22 +111,20 @@ def initial_logged_system(p: Presentation) -> LoggedRewriteSystem:
         LoggedRule(lhs, log, rhs, id=i)
         for i, (lhs, log, rhs) in enumerate(initial_logged_rules(p), start=1)
     ]
-    return LoggedRewriteSystem(p, p.order, rules)
+    return LoggedRewriteSystem(p, rules)
 
 
 def logged_reduce(
-    w: MonoidWord,
-    sys: LoggedRewriteSystem,
-    limits: Limits = Limits(),
-    *,
-    exclude: int = 0,
+    w: MonoidWord, sys: LoggedRewriteSystem, *, exclude: int = 0
 ) -> tuple[MonoidWord, YSequence]:
     """Reduce ``w`` to an irreducible word, recording the log.
 
     Deterministic: leftmost match, lowest rule id on ties.  The rule with
     id ``exclude`` is skipped, so the result is that of the system
     without it (interreduction tests a rule against the others this
-    way); the default 0 skips none.
+    way); the default 0 skips none.  A reduction that makes more than
+    ``REDUCE_MAX_STEPS`` rewrites, or whose word grows longer than
+    ``REDUCE_MAX_WORD_LEN`` letters, raises ``BudgetError``.
 
     After a rewrite at ``pos`` the scan resumes near ``pos`` instead of
     restarting, and makes the same rewrites as a full rescan would: no
@@ -165,7 +161,7 @@ def logged_reduce(
         if rule is None:
             return _monoid_word(alphabet, word), YSequence(log_terms)
         steps += 1
-        if steps > limits.max_steps:
+        if steps > REDUCE_MAX_STEPS:
             raise BudgetError(
                 f"reduction budget exceeded on {_monoid_word(alphabet, word)!r}"
             )
@@ -188,7 +184,7 @@ def logged_reduce(
         log_terms.extend(contribution.terms)
         rhs = rule.rhs.letters
         word = word[:pos] + rhs + word[pos + len(rule.lhs.letters) :]
-        if len(word) > limits.max_word_len:
+        if len(word) > REDUCE_MAX_WORD_LEN:
             raise BudgetError(
                 f"word length budget exceeded while reducing {w!r}"
             )
@@ -299,7 +295,7 @@ class NewPair:
 
 
 def process_overlap(
-    o: OverlapDescriptor, sys: LoggedRewriteSystem, limits: Limits = Limits()
+    o: OverlapDescriptor, sys: LoggedRewriteSystem
 ) -> Union[Resolved, NewPair]:
     """Reduce both descendants of the overlap word and compare.
 
@@ -309,8 +305,8 @@ def process_overlap(
     """
     ra = _rule(sys, o.rule_a)
     rb = _rule(sys, o.rule_b)
-    z, d = logged_reduce(o.u.concat(rb.rhs).concat(o.v), sys, limits)
-    zp, dp = logged_reduce(ra.rhs.concat(o.vprime), sys, limits)
+    z, d = logged_reduce(o.u.concat(rb.rhs).concat(o.v), sys)
+    zp, dp = logged_reduce(ra.rhs.concat(o.vprime), sys)
     log = (
         invert(dp)
         .concat(invert(ra.log))
@@ -358,7 +354,7 @@ def logged_knuth_bendix(
     final system is verified against every overlap and marked complete;
     otherwise ``stopped`` says why not.
     """
-    sys = LoggedRewriteSystem(init.presentation, init.order, init.rules)
+    sys = LoggedRewriteSystem(init.presentation, init.rules)
     report = CompletionReport(final_system=sys)
     next_id = max(sys._by_id, default=0) + 1
     frontier: Optional[set[int]] = None  # None lists every overlap
@@ -384,12 +380,12 @@ def logged_knuth_bendix(
         pending = sorted(find_overlaps(sys, frontier), key=pending_key)
         new_rules: list[LoggedRule] = []
         for o in pending:
-            result = process_overlap(o, sys, limits)
+            result = process_overlap(o, sys)
             if isinstance(result, Resolved):
                 if not result.identity.is_empty():
                     report.identities.append(result.identity)
                 continue
-            cmp = sys.order.compare(result.z, result.zprime)
+            cmp = sys.presentation.order.compare(result.z, result.zprime)
             if cmp == LT:
                 lhs, log, rhs = result.zprime, result.log, result.z
             elif cmp == GT:
@@ -406,7 +402,7 @@ def logged_knuth_bendix(
         if len(sys.rules) > limits.max_rules:
             report.stopped = MAX_RULES
             return report
-        removed = _interreduce(sys, limits, raw_logs=raw_logs)
+        removed = _interreduce(sys, raw_logs=raw_logs)
         report.rules_removed += removed
         if not new_rules and removed == 0:
             break
@@ -414,7 +410,7 @@ def logged_knuth_bendix(
 
     # certification pass: every overlap of the final system must resolve
     for o in find_overlaps(sys):
-        result = process_overlap(o, sys, limits)
+        result = process_overlap(o, sys)
         if isinstance(result, NewPair):  # pragma: no cover - loop converged
             report.stopped = UNRESOLVED
             return report
@@ -422,9 +418,7 @@ def logged_knuth_bendix(
     return report
 
 
-def _interreduce(
-    sys: LoggedRewriteSystem, limits: Limits, *, raw_logs: bool
-) -> int:
+def _interreduce(sys: LoggedRewriteSystem, *, raw_logs: bool) -> int:
     """Remove joinable redundant rules and normalise right-hand sides.
 
     Each rule is tested against the others by reducing with
@@ -438,9 +432,9 @@ def _interreduce(
         # earlier derivation is the one kept
         for i in range(len(sys.rules) - 1, -1, -1):
             rule = sys.rules[i]
-            z1, _ = logged_reduce(rule.lhs, sys, limits, exclude=rule.id)
+            z1, _ = logged_reduce(rule.lhs, sys, exclude=rule.id)
             if z1 != rule.lhs:
-                z2, _ = logged_reduce(rule.rhs, sys, limits, exclude=rule.id)
+                z2, _ = logged_reduce(rule.rhs, sys, exclude=rule.id)
                 if z1 == z2:
                     del sys.rules[i]
                     sys._rebuild_index()
@@ -448,7 +442,7 @@ def _interreduce(
                     changed = True
                     break
                 continue  # unresolved pair; leave for the completion loop
-            z2, d2 = logged_reduce(rule.rhs, sys, limits, exclude=rule.id)
+            z2, d2 = logged_reduce(rule.rhs, sys, exclude=rule.id)
             if z2 != rule.rhs:
                 log = rule.log.concat(d2)
                 if not raw_logs:

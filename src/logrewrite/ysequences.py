@@ -128,21 +128,13 @@ class YSequence:
 EMPTY = YSequence()
 
 
-def boundary(s: YSequence) -> GroupWord:
-    """The image in F(X): the product of the conjugated relator words."""
-    if not s.terms:
-        raise WordError("boundary of the empty sequence needs an alphabet; "
-                        "use boundary_in(s, alphabet)")
-    out = GroupWord(s.terms[0].relator.word.alphabet)
+def boundary(s: YSequence, alphabet: Alphabet) -> GroupWord:
+    """The image in F(X): the product of the conjugated relator words
+    (the identity of ``alphabet`` for the empty sequence)."""
+    out = GroupWord(alphabet)
     for t in s.terms:
         out = free_multiply(out, t.boundary())
     return out
-
-
-def boundary_in(s: YSequence, alphabet: Alphabet) -> GroupWord:
-    if s.is_empty():
-        return GroupWord(alphabet)
-    return boundary(s)
 
 
 def act(s: YSequence, v: GroupWord) -> YSequence:
@@ -363,7 +355,7 @@ def is_primary_identity(
     The quotient test is decided with the normal form function of a
     complete system for the same presentation.
     """
-    if not boundary_in(s, alphabet).is_identity():
+    if not boundary(s, alphabet).is_identity():
         raise WordError("primary identity test requires a boundary-trivial sequence")
     n = len(s)
     if n % 2:

@@ -5,7 +5,7 @@ from logrewrite import (
     identities_pipeline,
     parse_presentation,
 )
-from logrewrite.rewriting import BudgetError, Limits
+from logrewrite.rewriting import REDUCE_MAX_STEPS, BudgetError
 from logrewrite.words import GroupWord, MonoidWord, inverse
 from logrewrite.ysequences import YSequence, act
 
@@ -79,7 +79,7 @@ def trefoil_system(trefoil_report):
     return trefoil_report.final_system
 
 
-def rescan_reduce(w, sys, limits=Limits(), rightmost=False):
+def rescan_reduce(w, sys, max_steps=REDUCE_MAX_STEPS, rightmost=False):
     """Reference logged reduction: rescan the whole word after every
     rewrite and rebuild the inverse prefix from scratch.  Returns the
     normal form, the log and the number of rewrites.  ``rightmost`` scans
@@ -101,7 +101,7 @@ def rescan_reduce(w, sys, limits=Limits(), rightmost=False):
         if hit is None:
             return MonoidWord(w.alphabet, word), YSequence(log_terms), steps
         steps += 1
-        if steps > limits.max_steps:
+        if steps > max_steps:
             raise BudgetError(
                 f"reduction budget exceeded on {MonoidWord(w.alphabet, word)!r}"
             )

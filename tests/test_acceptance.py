@@ -28,7 +28,7 @@ from logrewrite.ysequences import (
     YSequence,
     YTerm,
     act,
-    boundary_in,
+    boundary,
     invert,
     parse_ysequence,
     render_ysequence,
@@ -145,7 +145,7 @@ def test_criterion_3_q8_k1_table(q8, q8_pipeline):
             sg = mu_inverse(g)
             from logrewrite.words import inverse
 
-            assert boundary_in(e.k1, q8.alphabet) == free_multiply(
+            assert boundary(e.k1, q8.alphabet) == free_multiply(
                 free_multiply(sg, x), inverse(mu_inverse(e.target))
             )
             if not e.k1.is_empty():
@@ -180,7 +180,7 @@ def test_criterion_4_q8_identities(q8):
         kept = result.kept
         assert len(kept) == 18
         for rec in result.records:
-            assert boundary_in(rec.sequence, q8.alphabet).is_identity()
+            assert boundary(rec.sequence, q8.alphabet).is_identity()
         kept_forms = {render_ysequence(r.sequence) for r in kept}
         for name, expected in Q8_IOTAS.items():
             assert expected in kept_forms, name
@@ -248,7 +248,7 @@ def test_criterion_6_trefoil():
         relators = p.relator_map()
         for text in TREFOIL_IDENTITIES:
             s = parse_ysequence(text, relators, p.alphabet)
-            assert boundary_in(s, p.alphabet).is_identity()
+            assert boundary(s, p.alphabet).is_identity()
             assert simplify(s).is_empty(), text
         # the overlaps of the final system on Yyyx and yYx resolve to the
         # first two reference identities verbatim
@@ -284,7 +284,7 @@ def test_criterion_7_property_suite():
                 )
                 nf, log = logged_reduce(w, system)
                 assert mu_inverse(w) == free_multiply(
-                    boundary_in(log, p.alphabet), mu_inverse(nf)
+                    boundary(log, p.alphabet), mu_inverse(nf)
                 )
                 # confluence: leftmost and rightmost strategies agree
                 right = rescan_reduce(w, system, rightmost=True)[0]
@@ -306,15 +306,15 @@ def test_criterion_7_property_suite():
                 for _ in range(rng.randrange(5))
             ]
             s = YSequence(terms)
-            b = boundary_in(s, q8p.alphabet)
-            assert boundary_in(simplify(s), q8p.alphabet) == b
+            b = boundary(s, q8p.alphabet)
+            assert boundary(simplify(s), q8p.alphabet) == b
             from logrewrite.words import inverse as ginv
 
-            assert boundary_in(invert(s), q8p.alphabet) == ginv(b)
+            assert boundary(invert(s), q8p.alphabet) == ginv(b)
             v = GroupWord(
                 q8p.alphabet, [rng.randrange(4) for _ in range(rng.randrange(4))]
             )
-            assert boundary_in(act(s, v), q8p.alphabet) == free_multiply(
+            assert boundary(act(s, v), q8p.alphabet) == free_multiply(
                 free_multiply(ginv(v), b), v
             )
 

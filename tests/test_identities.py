@@ -37,7 +37,7 @@ from logrewrite.ysequences import (
     YSequence,
     YTerm,
     act,
-    boundary_in,
+    boundary,
     cancel_adjacent,
     invert,
     is_primary_identity,
@@ -84,7 +84,7 @@ class TestCayleyGraph:
             expected = free_multiply(
                 free_multiply(mu_inverse(g), x), inverse(mu_inverse(e.target))
             )
-            assert boundary_in(e.k1, q8.alphabet) == expected
+            assert boundary(e.k1, q8.alphabet) == expected
 
     def test_k1_empty_when_step_irreducible(self, q8, q8_graph):
         from logrewrite.words import MonoidWord
@@ -163,7 +163,7 @@ class TestSeparationIdentities:
     def test_all_records_boundary_trivial(self, q8, q8_pipeline):
         assert len(q8_pipeline.records) == 32
         for rec in q8_pipeline.records:
-            assert boundary_in(rec.sequence, q8.alphabet).is_identity()
+            assert boundary(rec.sequence, q8.alphabet).is_identity()
 
     def test_c3(self):
         p = parse_presentation(C3_TEXT)
@@ -171,7 +171,7 @@ class TestSeparationIdentities:
         assert len(result.graph) == 3
         assert len(result.records) == 3
         for rec in result.kept:
-            assert boundary_in(rec.sequence, p.alphabet).is_identity()
+            assert boundary(rec.sequence, p.alphabet).is_identity()
             assert rec.status == KEPT
 
 
@@ -194,7 +194,7 @@ class TestSimplifyIdentityList:
         rec = IdentityRecord(
             graph.vertices[0], q8.relators[0], YSequence()
         )
-        out = simplify_identity_list([rec], normal_form_fn(q8_system), graph)
+        out = simplify_identity_list([rec], graph)
         assert out[0].status == TRIVIAL
         assert [r for r in out if r.status == KEPT] == []
 
@@ -213,11 +213,12 @@ class TestSimplifyIdentityList:
         assert render(a) == render(b)
 
 
-def translate_scan(records, nf, graph):
+def translate_scan(records, graph):
     """The discard as it was before the orbit-key lookup: act each record
     and its inverse by every non-trivial vertex word and scan the kept
     forms.  Kept as the reference for simplify_identity_list."""
     alphabet = graph.sys.presentation.alphabet
+    nf = normal_form_fn(graph.sys)
     ordered = sorted(records, key=_sort_key)
     kept_forms = []
     sigma_images = [mu_inverse(v) for v in graph.vertices]
@@ -253,7 +254,7 @@ def translate_scan(records, nf, graph):
     return ordered
 
 
-def both_discards(records, nf, graph):
+def both_discards(records, graph):
     """Statuses of (simplify_identity_list, translate_scan), each run on
     its own copy of the records, in output order."""
     out = []
@@ -262,7 +263,7 @@ def both_discards(records, nf, graph):
         out.append(
             [
                 (render_monoid(r.vertex), r.relator.label, r.status)
-                for r in discard(copies, nf, graph)
+                for r in discard(copies, graph)
             ]
         )
     return out
@@ -283,7 +284,7 @@ class TestDiscardMatchesTranslateScan:
             for g in graph.vertices
             for rho in p.relators
         ]
-        new, reference = both_discards(records, normal_form_fn(sys), graph)
+        new, reference = both_discards(records, graph)
         assert new == reference
         assert {status for _, _, status in new} >= {KEPT, TRIVIAL, DUPLICATE}
 
@@ -293,18 +294,18 @@ class TestDiscardCases:
     def setting(self, q8, q8_system, q8_pipeline):
         graph = build_cayley_graph(q8_system)
         kept = next(r for r in q8_pipeline.kept if len(r.sequence) > 1)
-        return graph, normal_form_fn(q8_system), kept
+        return graph, kept
 
     def _pair(self, q8, setting, sigma):
         """Statuses of a kept form and the record that ``sigma`` moves onto it."""
-        graph, nf, kept = setting
+        graph, kept = setting
         moved = act(kept.sequence, inverse(sigma))
         assert act(moved, sigma) == kept.sequence
         records = [
             IdentityRecord(graph.vertices[0], kept.relator, kept.sequence),
             IdentityRecord(parse_monoid(q8.alphabet, "ab"), kept.relator, moved),
         ]
-        return both_discards(records, nf, graph)
+        return both_discards(records, graph)
 
     def test_translate_by_vertex_word_is_conjugate_dup(self, q8, setting):
         graph = setting[0]
@@ -320,7 +321,7 @@ class TestDiscardCases:
             assert new == reference
 
     def test_long_record_cancelling_to_empty(self, q8, setting):
-        graph, nf, kept = setting
+        graph, kept = setting
         t = YTerm(q8.relators[0], POS, GroupWord(q8.alphabet))
         seq = YSequence([t, t.inverted()] * 11)
         assert len(seq) > 20 and cancel_adjacent(seq).is_empty()
@@ -328,15 +329,15 @@ class TestDiscardCases:
             IdentityRecord(graph.vertices[0], kept.relator, kept.sequence),
             IdentityRecord(graph.vertices[1], q8.relators[0], seq),
         ]
-        new, reference = both_discards(records, nf, graph)
+        new, reference = both_discards(records, graph)
         assert new == reference
 
     def test_nontrivial_boundary_raises(self, q8, setting):
-        graph, nf, _ = setting
+        graph, _ = setting
         t = YTerm(q8.relators[0], POS, GroupWord(q8.alphabet))
         rec = IdentityRecord(graph.vertices[0], q8.relators[0], YSequence([t]))
         with pytest.raises(WordError):
-            simplify_identity_list([rec], nf, graph)
+            simplify_identity_list([rec], graph)
 
 
 class TestSampledApi:
@@ -346,7 +347,7 @@ class TestSampledApi:
             for m in (-2, 1, 3):
                 g = parse_group(abelian.alphabet, f"x^{n} y^{m}")
                 s = identity_for(abelian_system, g, rho)
-                assert boundary_in(s, abelian.alphabet).is_identity()
+                assert boundary(s, abelian.alphabet).is_identity()
                 assert simplify(s).is_empty()
 
     def test_abelian_k1_product(self, abelian, abelian_system):
@@ -367,7 +368,7 @@ class TestSampledApi:
         rho = q8.relator("r4")
         g = parse_group(q8.alphabet, "a a")
         s = identity_for(q8_system, g, rho)
-        assert boundary_in(s, q8.alphabet).is_identity()
+        assert boundary(s, q8.alphabet).is_identity()
 
 
 def conjugate_text(al, j, n):

@@ -6,7 +6,7 @@ from logrewrite.presentation import (
     parse_presentation,
 )
 from logrewrite.words import free_multiply, mu_inverse, parse_group, render_monoid
-from logrewrite.ysequences import boundary_in
+from logrewrite.ysequences import boundary
 
 from tests.conftest import ABELIAN_TEXT, Q8_TEXT, TREFOIL_TEXT
 
@@ -80,7 +80,7 @@ class TestInitialRules:
         for lhs, log, rhs in rules:
             # l = (boundary of the log) . r in the free group
             assert mu_inverse(lhs) == free_multiply(
-                boundary_in(log, p.alphabet), mu_inverse(rhs)
+                boundary(log, p.alphabet), mu_inverse(rhs)
             )
 
     def test_q8_relator_rule_logs(self):

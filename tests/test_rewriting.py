@@ -1,8 +1,10 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from logrewrite import rewriting
 from logrewrite.presentation import parse_presentation
 from logrewrite.rewriting import (
     MAX_PASSES,
@@ -28,7 +30,7 @@ from logrewrite.words import (
     parse_monoid,
     render_monoid,
 )
-from logrewrite.ysequences import YSequence, boundary_in, render_ysequence
+from logrewrite.ysequences import YSequence, boundary, render_ysequence
 
 from tests.conftest import ABELIAN_TEXT, Q8_TEXT, TREFOIL_TEXT, rescan_reduce
 
@@ -44,7 +46,7 @@ def check_logging_invariant(word, system):
     """w = (boundary of the log) . (normal form) in the free group."""
     nf, log = logged_reduce(word, system)
     assert mu_inverse(word) == free_multiply(
-        boundary_in(log, word.alphabet), mu_inverse(nf)
+        boundary(log, word.alphabet), mu_inverse(nf)
     )
     return nf, log
 
@@ -96,8 +98,19 @@ class TestLoggedReduce:
         from logrewrite.rewriting import BudgetError
 
         w = parse_monoid(q8.alphabet, "bbbb")
-        with pytest.raises(BudgetError):
-            logged_reduce(w, q8_system, Limits(max_steps=1))
+        with mock.patch.object(rewriting, "REDUCE_MAX_STEPS", 1):
+            with pytest.raises(BudgetError):
+                logged_reduce(w, q8_system)
+
+    def test_word_length_budget(self, trefoil, trefoil_system):
+        w = parse_monoid(trefoil.alphabet, "X")
+        assert render_monoid(logged_reduce(w, trefoil_system)[0]) == "xxYY"
+        with mock.patch.object(rewriting, "REDUCE_MAX_WORD_LEN", 3):
+            with pytest.raises(BudgetError) as exc:
+                logged_reduce(w, trefoil_system)
+        assert str(exc.value) == (
+            "word length budget exceeded while reducing MonoidWord('X')"
+        )
 
 
 D20_TEXT = """\
@@ -178,15 +191,15 @@ class TestResumingReduce:
         assert log.terms == ref_log.terms
         # a step budget trips on the same rewrite, with the same word
         budget = data.draw(st.integers(min_value=0, max_value=steps))
-        limits = Limits(max_steps=budget)
-        if budget < steps:
-            with pytest.raises(BudgetError) as got:
-                logged_reduce(w, sys, limits)
-            with pytest.raises(BudgetError) as want:
-                rescan_reduce(w, sys, limits)
-            assert str(got.value) == str(want.value)
-        else:
-            assert logged_reduce(w, sys, limits) == (nf, log)
+        with mock.patch.object(rewriting, "REDUCE_MAX_STEPS", budget):
+            if budget < steps:
+                with pytest.raises(BudgetError) as got:
+                    logged_reduce(w, sys)
+                with pytest.raises(BudgetError) as want:
+                    rescan_reduce(w, sys, budget)
+                assert str(got.value) == str(want.value)
+            else:
+                assert logged_reduce(w, sys) == (nf, log)
 
 
 class TestExclude:
@@ -204,9 +217,7 @@ class TestExclude:
         for sys in REDUCE_SYSTEMS.values():
             for rule in sys.rules:
                 others = LoggedRewriteSystem(
-                    sys.presentation,
-                    sys.order,
-                    [r for r in sys.rules if r.id != rule.id],
+                    sys.presentation, [r for r in sys.rules if r.id != rule.id]
                 )
                 nf, log = logged_reduce(rule.lhs, sys, exclude=rule.id)
                 ref_nf, ref_log = logged_reduce(rule.lhs, others)
@@ -224,7 +235,7 @@ class TestExclude:
         else:
             w = data.draw(sized_words_over(sys.presentation.alphabet))
         others = LoggedRewriteSystem(
-            sys.presentation, sys.order, [r for r in sys.rules if r.id != rule.id]
+            sys.presentation, [r for r in sys.rules if r.id != rule.id]
         )
         nf, log = logged_reduce(w, sys, exclude=rule.id)
         ref_nf, ref_log = logged_reduce(w, others)
@@ -272,7 +283,7 @@ class TestRuleTable:
             return LoggedRule(parse_monoid(al, text), YSequence(), empty, rule_id)
 
         sys = LoggedRewriteSystem(
-            q8, q8.order, [rule("ab", 7), rule("abb", 4), rule("b", 2)]
+            q8, [rule("ab", 7), rule("abb", 4), rule("b", 2)]
         )
         assert [r.id for r in sys.rules] == [2, 4, 7]
         word = parse_monoid(al, "abba").letters
@@ -341,7 +352,7 @@ class TestOverlaps:
         for o in find_overlaps(q8_system):
             res = process_overlap(o, q8_system)
             assert isinstance(res, Resolved)
-            assert boundary_in(
+            assert boundary(
                 res.identity, q8_system.presentation.alphabet
             ).is_identity()
 
@@ -401,7 +412,7 @@ class TestCompletion:
     def test_harvested_identities_boundary_trivial(self, q8_report, q8):
         assert q8_report.identities
         for s in q8_report.identities:
-            assert boundary_in(s, q8.alphabet).is_identity()
+            assert boundary(s, q8.alphabet).is_identity()
 
     def test_pass_budget_leaves_incomplete(self, q8):
         limits = Limits(max_passes=0)

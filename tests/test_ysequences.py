@@ -26,7 +26,6 @@ from logrewrite.ysequences import (
     _strip_conjugator,
     act,
     boundary,
-    boundary_in,
     cancel_adjacent,
     invert,
     parse_ysequence,
@@ -93,20 +92,20 @@ class TestRelatorRef:
 class TestBoundary:
     def test_single_term(self):
         t = YTerm(R4, POS, parse_group(AB, "a^-2"))
-        assert boundary(YSequence([t])) == parse_group(AB, "a^2 a^2 b^2 a^-2")
+        assert boundary(YSequence([t]), AB) == parse_group(AB, "a^2 a^2 b^2 a^-2")
 
     def test_empty_needs_alphabet(self):
-        assert boundary_in(EMPTY, AB).is_identity()
+        assert boundary(EMPTY, AB).is_identity()
 
     @given(ysequences())
     def test_matches_oracle(self, s):
-        assert boundary_in(s, AB) == boundary_oracle(s)
+        assert boundary(s, AB) == boundary_oracle(s)
 
 
 class TestOperations:
     @given(ysequences())
     def test_invert_boundary(self, s):
-        assert boundary_in(invert(s), AB) == inverse(boundary_in(s, AB))
+        assert boundary(invert(s), AB) == inverse(boundary(s, AB))
 
     @given(ysequences())
     def test_invert_involution(self, s):
@@ -114,7 +113,7 @@ class TestOperations:
 
     @given(ysequences(), group_words())
     def test_act_boundary(self, s, v):
-        assert boundary_in(act(s, v), AB) == conjugate(boundary_in(s, AB), v)
+        assert boundary(act(s, v), AB) == conjugate(boundary(s, AB), v)
 
     def test_concat(self):
         s = YSequence([YTerm(R1, POS, GroupWord(AB))])
@@ -149,17 +148,17 @@ class TestCancelAdjacent:
 class TestNormalisation:
     @given(ysequences())
     def test_peiffer_closure_preserves_boundary(self, s):
-        assert boundary_in(peiffer_closure(s), AB) == boundary_in(s, AB)
+        assert boundary(peiffer_closure(s), AB) == boundary(s, AB)
 
     @given(ysequences())
     def test_root_normalize_preserves_boundary(self, s):
         once = root_normalize(s)
-        assert boundary_in(once, AB) == boundary_in(s, AB)
+        assert boundary(once, AB) == boundary(s, AB)
         assert root_normalize(once) == once
 
     @given(ysequences(max_size=4))
     def test_simplify_preserves_boundary(self, s):
-        assert boundary_in(simplify(s), AB) == boundary_in(s, AB)
+        assert boundary(simplify(s), AB) == boundary(s, AB)
 
     def test_root_normalize_strips_relator_powers(self):
         # conjugating a term by the relator's own root is Peiffer-neutral
@@ -180,7 +179,7 @@ class TestNormalisation:
             ]
         )
         out = simplify(s)
-        assert boundary_in(out, AB) == boundary_in(s, AB)
+        assert boundary(out, AB) == boundary(s, AB)
         assert len(out) <= len(s)
 
 
@@ -281,6 +280,16 @@ class TestPrimaryIdentity:
             is_primary_identity(
                 YSequence([YTerm(R1, POS, GroupWord(AB))]), nf, AB
             )
+
+    def test_too_long_for_the_pairing_search(self):
+        from logrewrite.ysequences import PRIMARY_MAX_TERMS, is_primary_identity
+
+        t = YTerm(R1, POS, GroupWord(AB))
+        s = YSequence([t, t.inverted()] * 11)
+        assert len(s) == 22 > PRIMARY_MAX_TERMS
+        assert boundary(s, AB).is_identity()
+        with pytest.raises(WordError, match="too long"):
+            is_primary_identity(s, self._nf(), AB)
 
 
 class TestRendering:
