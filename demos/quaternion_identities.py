@@ -40,7 +40,7 @@ for (g, gen), edge in sorted(
     result.graph.edges.items(),
     key=lambda kv: (len(kv[0][0]), kv[0][0].letters, kv[0][1]),
 ):
-    if not edge.k1.is_empty():
+    if edge.k1:
         print(f"  k1[{render_monoid(g)}, {alphabet.names[gen]}]"
               f" = {render_ysequence(edge.k1)}")
 

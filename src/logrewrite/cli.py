@@ -19,6 +19,7 @@ from .identities import (
     InfiniteGroupError,
     build_cayley_graph,
     identities_pipeline,
+    k1_word,
 )
 from .presentation import parse_presentation
 from .rewriting import (
@@ -27,16 +28,7 @@ from .rewriting import (
     complete_presentation,
     logged_reduce,
 )
-from .words import (
-    WordError,
-    free_multiply,
-    inverse,
-    mu,
-    mu_inverse,
-    parse_group,
-    render_group,
-    render_monoid,
-)
+from .words import WordError, mu, parse_group, render_group, render_monoid
 from .ysequences import render_ysequence, simplify
 
 
@@ -142,7 +134,7 @@ def _terms_json(seq) -> list[dict]:
             "sign": "+" if t.sign > 0 else "-",
             "conjugator": render_group(t.conjugator),
         }
-        for t in seq.terms
+        for t in seq
     ]
 
 
@@ -209,15 +201,11 @@ def _k1_rows(graph) -> list[tuple[str, str, str, str]]:
         graph.edges.items(),
         key=lambda kv: (len(kv[0][0]), kv[0][0].letters, kv[0][1]),
     ):
-        step = free_multiply(
-            mu_inverse(g), parse_group(alphabet, alphabet.names[gen])
-        )
-        word = mu(free_multiply(step, inverse(mu_inverse(e.target))))
         rows.append(
             (
                 f"[{render_monoid(g)}, {alphabet.names[gen]}]",
                 render_monoid(e.target),
-                render_monoid(word),
+                render_monoid(k1_word(g, gen, e.target)),
                 render_ysequence(e.k1),
             )
         )
@@ -286,9 +274,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (FileNotFoundError, WordError, BudgetError, InfiniteGroupError) as exc:
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.file}: {exc}", file=_sys.stderr)
+    except (OSError, WordError, BudgetError, InfiniteGroupError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
-        return 1
+    return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

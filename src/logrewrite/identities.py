@@ -86,20 +86,30 @@ class CayleyGraph:
         return len(self.vertices)
 
 
-def compute_k1(sys: LoggedRewriteSystem, g: MonoidWord, gen: int) -> YSequence:
-    """The chosen value k1[g, x]: the empty sequence when (sigma g)x is
-    already irreducible, else the simplified log of reducing
-    ``(sigma g) x (sigma(g x))^-1`` to the empty word."""
-    alphabet = sys.presentation.alphabet
-    step = _monoid_word(alphabet, g.letters + (2 * gen,))
-    target, _ = logged_reduce(step, sys)
-    if target == step:
-        return YSequence()
-    full = mu(
-        free_multiply(mu_inverse(step), inverse(mu_inverse(target)))
-    )
+def _times_gen(g: MonoidWord, gen: int) -> MonoidWord:
+    """The unreduced word ``g x`` for the positive generator x."""
+    return _monoid_word(g.alphabet, g.letters + (2 * gen,))
+
+
+def k1_word(g: MonoidWord, gen: int, target: MonoidWord) -> MonoidWord:
+    """The word ``(sigma g) x (sigma(g x))^-1`` of the edge [g, x], where
+    ``target`` is the normal form of ``g x``."""
+    step = mu_inverse(_times_gen(g, gen))
+    return mu(free_multiply(step, inverse(mu_inverse(target))))
+
+
+def compute_k1(
+    sys: LoggedRewriteSystem, g: MonoidWord, gen: int, target: MonoidWord
+) -> YSequence:
+    """The chosen value k1[g, x], given the normal form ``target`` of
+    ``(sigma g) x``: the empty sequence when ``(sigma g) x`` is already
+    irreducible, else the simplified log of reducing :func:`k1_word` to
+    the empty word."""
+    if target == _times_gen(g, gen):
+        return ()
+    full = k1_word(g, gen, target)
     reduced, log = logged_reduce(full, sys)
-    if len(reduced):  # pragma: no cover - target is the normal form of step
+    if len(reduced):  # pragma: no cover - target is the normal form of g x
         raise WordError(f"k1 word {full!r} did not reduce to the identity")
     # cancellation, conjugator absorption and term-wise root absorption
     # only -- no exchange-rule search, so chosen values stay close to the
@@ -130,8 +140,7 @@ def build_cayley_graph(
         next_frontier = []
         for g in frontier:
             for gen in range(len(alphabet)):
-                step = _monoid_word(alphabet, g.letters + (2 * gen,))
-                target, _ = logged_reduce(step, sys)
+                target, _ = logged_reduce(_times_gen(g, gen), sys)
                 if target not in index:
                     if len(vertices) >= vertex_cap:
                         raise InfiniteGroupError(
@@ -144,7 +153,7 @@ def build_cayley_graph(
                 targets[(g, gen)] = target
         frontier = next_frontier
     for (g, gen), target in targets.items():
-        edges[(g, gen)] = Edge(g, gen, target, compute_k1(sys, g, gen))
+        edges[(g, gen)] = Edge(g, gen, target, compute_k1(sys, g, gen, target))
     return CayleyGraph(sys, vertices, edges)
 
 
@@ -181,11 +190,11 @@ def separation_identity(
     ``(rho^-) . (k1 of the cycle)^{sigma g}``, adjacent inverse pairs
     cancelled.  Always boundary-trivial."""
     alphabet = g.alphabet
-    cycle = YSequence()
+    cycle = ()
     for e, direction in relator_cycle_edges(g, rho, graph):
-        cycle = cycle.concat(e.k1 if direction > 0 else invert(e.k1))
-    head = YSequence([YTerm(rho, NEG, GroupWord(alphabet))])
-    iota = cancel_adjacent(head.concat(act(cycle, mu_inverse(g))))
+        cycle += e.k1 if direction > 0 else invert(e.k1)
+    head = (YTerm(rho, NEG, GroupWord(alphabet)),)
+    iota = cancel_adjacent(head + act(cycle, mu_inverse(g)))
     if not boundary(iota, alphabet).is_identity():  # pragma: no cover
         raise WordError(f"cycle identity for [{g!r}, {rho!r}] has a boundary")
     return iota
@@ -226,19 +235,18 @@ def _orbit_key(s: YSequence) -> tuple:
     ``u_i u_0^-1`` unchanged: a sequence and all its translates share the
     key, and two sequences with equal keys are translates of each other.
     """
-    back = inverse(s.terms[0].conjugator)
+    back = inverse(s[0].conjugator)
     return tuple(
-        (t.relator, t.sign, free_multiply(t.conjugator, back).letters)
-        for t in s.terms
+        (t.relator, t.sign, free_multiply(t.conjugator, back).letters) for t in s
     )
 
 
 def _translates_to_kept(c: YSequence, kept_orbits: dict, vertex_words: set) -> bool:
     """True when ``act(c, sigma)`` is a kept form for some ``sigma`` in
     ``vertex_words``."""
-    if c.is_empty():
+    if not c:
         return False
-    back = inverse(c.terms[0].conjugator)
+    back = inverse(c[0].conjugator)
     return any(
         free_multiply(back, u0).letters in vertex_words
         for u0 in kept_orbits.get(_orbit_key(c), ())
@@ -283,7 +291,7 @@ def simplify_identity_list(
     vertex_words.discard(())
     for rec in ordered:
         seq = rec.sequence
-        if seq.is_empty():
+        if not seq:
             rec.status = TRIVIAL
             continue
         if len(seq) <= PRIMARY_MAX_TERMS and is_primary_identity(seq, nf, alphabet):
@@ -304,7 +312,7 @@ def simplify_identity_list(
             continue
         rec.status = KEPT
         kept_forms.add(seq)
-        kept_orbits.setdefault(_orbit_key(seq), []).append(seq.terms[0].conjugator)
+        kept_orbits.setdefault(_orbit_key(seq), []).append(seq[0].conjugator)
     return ordered
 
 
@@ -358,8 +366,7 @@ def identity_for(
     reduced, log = logged_reduce(word, sys)
     if len(reduced):  # pragma: no cover - conjugates of relators are trivial
         raise WordError(f"conjugated relator {word!r} did not reduce to the identity")
-    head = YSequence([YTerm(rho, NEG, inverse(sigma))])
-    return cancel_adjacent(head.concat(log))
+    return cancel_adjacent((YTerm(rho, NEG, inverse(sigma)),) + log)
 
 
 def k1_for(
@@ -370,4 +377,5 @@ def k1_for(
     """The sampled edge value k1[g, x] for a user-supplied group element."""
     n, _ = logged_reduce(mu(g), sys)
     gen = sys.presentation.alphabet.index(gen_name)
-    return compute_k1(sys, n, gen)
+    target, _ = logged_reduce(_times_gen(n, gen), sys)
+    return compute_k1(sys, n, gen, target)

@@ -15,7 +15,7 @@ from .words import (
     mu,
     parse_group,
 )
-from .ysequences import EMPTY, POS, RelatorRef, YSequence, YTerm
+from .ysequences import POS, RelatorRef, YSequence, YTerm
 
 
 class ParseError(WordError):
@@ -134,8 +134,8 @@ def initial_logged_rules(
     empty = MonoidWord(p.alphabet)
     rules: list[tuple[MonoidWord, YSequence, MonoidWord]] = []
     for rho in p.relators:
-        log = YSequence([YTerm(rho, POS, GroupWord(p.alphabet))])
+        log = (YTerm(rho, POS, GroupWord(p.alphabet)),)
         rules.append((mu(rho.word), log, empty))
     for c in p.alphabet.letters():
-        rules.append((MonoidWord(p.alphabet, (c, flip(c))), EMPTY, empty))
+        rules.append((MonoidWord(p.alphabet, (c, flip(c))), (), empty))
     return rules

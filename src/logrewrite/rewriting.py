@@ -159,7 +159,7 @@ def logged_reduce(
                 break
             pos += 1
         if rule is None:
-            return _monoid_word(alphabet, word), YSequence(log_terms)
+            return _monoid_word(alphabet, word), tuple(log_terms)
         steps += 1
         if steps > REDUCE_MAX_STEPS:
             raise BudgetError(
@@ -180,8 +180,7 @@ def logged_reduce(
             else:
                 inv.append(c)
             k -= 1
-        contribution = act(rule.log, _group_word(alphabet, tuple(inv[::-1])))
-        log_terms.extend(contribution.terms)
+        log_terms.extend(act(rule.log, _group_word(alphabet, tuple(inv[::-1]))))
         rhs = rule.rhs.letters
         word = word[:pos] + rhs + word[pos + len(rule.lhs.letters) :]
         if len(word) > REDUCE_MAX_WORD_LEN:
@@ -307,12 +306,7 @@ def process_overlap(
     rb = _rule(sys, o.rule_b)
     z, d = logged_reduce(o.u.concat(rb.rhs).concat(o.v), sys)
     zp, dp = logged_reduce(ra.rhs.concat(o.vprime), sys)
-    log = (
-        invert(dp)
-        .concat(invert(ra.log))
-        .concat(act(rb.log, inverse(mu_inverse(o.u))))
-        .concat(d)
-    )
+    log = invert(dp) + invert(ra.log) + act(rb.log, inverse(mu_inverse(o.u))) + d
     if z == zp:
         return Resolved(identity=log)
     return NewPair(zprime=zp, log=log, z=z)
@@ -365,7 +359,7 @@ def logged_knuth_bendix(
         # type-2 word is longer than l', so the key is total without kind
         ra, rb = sys._by_id[o.rule_a], sys._by_id[o.rule_b]
         return (
-            0 if not (ra.log.is_empty() or rb.log.is_empty()) else 1,
+            0 if ra.log and rb.log else 1,
             len(o.u) + len(rb.lhs) + len(o.v),
             o.rule_b,
             o.rule_a,
@@ -382,7 +376,7 @@ def logged_knuth_bendix(
         for o in pending:
             result = process_overlap(o, sys)
             if isinstance(result, Resolved):
-                if not result.identity.is_empty():
+                if result.identity:
                     report.identities.append(result.identity)
                 continue
             cmp = sys.presentation.order.compare(result.z, result.zprime)
@@ -444,7 +438,7 @@ def _interreduce(sys: LoggedRewriteSystem, *, raw_logs: bool) -> int:
                 continue  # unresolved pair; leave for the completion loop
             z2, d2 = logged_reduce(rule.rhs, sys, exclude=rule.id)
             if z2 != rule.rhs:
-                log = rule.log.concat(d2)
+                log = rule.log + d2
                 if not raw_logs:
                     log = peiffer_closure(log)
                 sys.rules[i] = replace(rule, log=log, rhs=z2)

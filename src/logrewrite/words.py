@@ -40,6 +40,11 @@ class Alphabet:
         for name in names:
             if not name or not name[0].isalpha() or not name.isalnum():
                 raise WordError(f"invalid generator name {name!r}")
+            if len(name) == 1 and name.isupper():
+                raise WordError(
+                    f"invalid generator name {name!r}: a single uppercase "
+                    f"letter is read as the inverse of {name.lower()!r}"
+                )
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
 
@@ -90,12 +95,10 @@ def gen_index(code: int) -> int:
     return code >> 1
 
 
-class MonoidWord:
-    """A word in the free monoid on the signed alphabet.
-
-    No cancellation is performed: ``x+ x-`` stays four letters long until a
-    rewrite rule removes it.
-    """
+class _Word:
+    """The body the two word types share: an alphabet and a tuple of
+    letter codes, checked against the alphabet.  Words compare equal only
+    to words of the same type with the same letters and alphabet."""
 
     __slots__ = ("alphabet", "letters")
 
@@ -115,7 +118,7 @@ class MonoidWord:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, MonoidWord)
+            type(other) is type(self)
             and self.letters == other.letters
             and (self.alphabet is other.alphabet or self.alphabet == other.alphabet)
         )
@@ -123,6 +126,16 @@ class MonoidWord:
     def __hash__(self) -> int:
         # equal words have equal letters; the alphabet only refines equality
         return hash(self.letters)
+
+
+class MonoidWord(_Word):
+    """A word in the free monoid on the signed alphabet.
+
+    No cancellation is performed: ``x+ x-`` stays four letters long until a
+    rewrite rule removes it.
+    """
+
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"MonoidWord({render_monoid(self)!r})"
@@ -132,40 +145,18 @@ class MonoidWord:
         return _monoid_word(self.alphabet, self.letters + other.letters)
 
 
-class GroupWord:
+class GroupWord(_Word):
     """A freely reduced word in the free group F(X).
 
     The reduced invariant is maintained eagerly: any letter sequence given
     to the constructor is validated and reduced with a stack scan.
     """
 
-    __slots__ = ("alphabet", "letters")
+    __slots__ = ()
 
     def __init__(self, alphabet: Alphabet, letters: Iterable[int] = ()):
-        self.alphabet = alphabet
-        letters = tuple(letters)
-        n = 2 * len(alphabet)
-        for c in letters:
-            if not 0 <= c < n:
-                raise WordError(f"letter code {c} outside alphabet {alphabet!r}")
-        self.letters = _reduce(letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupWord)
-            and self.letters == other.letters
-            and (self.alphabet is other.alphabet or self.alphabet == other.alphabet)
-        )
-
-    def __hash__(self) -> int:
-        # equal words have equal letters; the alphabet only refines equality
-        return hash(self.letters)
+        super().__init__(alphabet, letters)
+        self.letters = _reduce(self.letters)
 
     def __repr__(self) -> str:
         return f"GroupWord({render_group(self)!r})"

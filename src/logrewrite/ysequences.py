@@ -1,7 +1,9 @@
 """Y-sequences: formal products of conjugated relators.
 
 A term ``(rho^e)^u`` is a relator ``rho``, a sign ``e`` and a conjugating
-word ``u`` in the free group.  Sequences of such terms carry the logging
+word ``u`` in the free group.  A Y-sequence is a plain ``tuple`` of
+``YTerm``: an element of the free monoid on the terms, with ``+`` as the
+product and ``()`` as the identity.  Sequences carry the logging
 information of every rewrite, and sequences with trivial boundary are
 identities among the relations.
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .words import (
     Alphabet,
@@ -95,60 +97,31 @@ class YTerm:
         return free_multiply(free_multiply(inverse(u), w), u)
 
 
-class YSequence:
-    """An element of the free monoid on the conjugated relators."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Sequence[YTerm] = ()):
-        self.terms = tuple(terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, YSequence) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
-
-    def __repr__(self) -> str:
-        return f"YSequence({render_ysequence(self)!r})"
-
-    def is_empty(self) -> bool:
-        return not self.terms
-
-    def concat(self, other: "YSequence") -> "YSequence":
-        return YSequence(self.terms + other.terms)
-
-
-EMPTY = YSequence()
+# a Y-sequence is a tuple of YTerm; the name is kept for annotations
+YSequence = tuple
 
 
 def boundary(s: YSequence, alphabet: Alphabet) -> GroupWord:
     """The image in F(X): the product of the conjugated relator words
     (the identity of ``alphabet`` for the empty sequence)."""
     out = GroupWord(alphabet)
-    for t in s.terms:
+    for t in s:
         out = free_multiply(out, t.boundary())
     return out
 
 
 def act(s: YSequence, v: GroupWord) -> YSequence:
     """Right action of F(X): append ``v`` to every conjugator."""
-    if v.is_identity() or s.is_empty():
+    if v.is_identity() or not s:
         return s
-    return YSequence(
-        YTerm(t.relator, t.sign, free_multiply(t.conjugator, v)) for t in s.terms
+    return tuple(
+        [YTerm(t.relator, t.sign, free_multiply(t.conjugator, v)) for t in s]
     )
 
 
 def invert(s: YSequence) -> YSequence:
     """Formal inverse: reverse the terms and flip each sign."""
-    return YSequence(t.inverted() for t in reversed(s.terms))
+    return tuple([t.inverted() for t in reversed(s)])
 
 
 # -- simplification ----------------------------------------------------------
@@ -161,7 +134,7 @@ def cancel_adjacent(s: YSequence) -> YSequence:
     identities, so what survives is what the raw relator cycles produced.
     """
     stack: list[YTerm] = []
-    for t in s.terms:
+    for t in s:
         if (
             stack
             and stack[-1].relator == t.relator
@@ -171,7 +144,7 @@ def cancel_adjacent(s: YSequence) -> YSequence:
             stack.pop()
         else:
             stack.append(t)
-    return YSequence(stack)
+    return tuple(stack)
 
 
 def _strip_conjugator(t: YTerm, use_root: bool) -> YTerm:
@@ -201,18 +174,6 @@ def _strip_conjugator(t: YTerm, use_root: bool) -> YTerm:
                 changed = True
                 break
     return t if u == t.conjugator else YTerm(t.relator, t.sign, u)
-
-
-def _closure(terms: tuple, use_root: bool) -> tuple:
-    """Strip conjugators, cancel adjacent pairs, and collapse sandwiches
-    ``y^- Z y^+ -> Z^{delta y}`` until nothing applies."""
-    terms = tuple(_strip_conjugator(t, use_root) for t in terms)
-    while True:
-        terms = tuple(cancel_adjacent(YSequence(terms)).terms)
-        reduced = _sandwich_once(terms, use_root)
-        if reduced is None:
-            return terms
-        terms = reduced
 
 
 def _sandwich_once(terms: tuple, use_root: bool):
@@ -274,19 +235,26 @@ def root_normalize(s: YSequence) -> YSequence:
     Changes the represented class only by root module identities; no
     reordering of terms is performed.
     """
-    return cancel_adjacent(YSequence(_strip_conjugator(t, True) for t in s.terms))
+    return cancel_adjacent([_strip_conjugator(t, True) for t in s])
 
 
 def peiffer_closure(s: YSequence, *, use_root_moves: bool = True) -> YSequence:
-    """Cheap one-shot normalisation: conjugator absorption, adjacent
-    cancellation and sandwich collapse, without the exchange-rule search.
+    """Cheap one-shot normalisation: strip conjugators, cancel adjacent
+    pairs, and collapse sandwiches ``y^- Z y^+ -> Z^{delta y}`` until
+    nothing applies; no exchange-rule search.
 
     Much faster than :func:`simplify`; used to keep logs short during
     completion.
     """
-    if s.is_empty():
-        return s
-    return YSequence(_closure(s.terms, use_root_moves))
+    if not s:
+        return ()
+    terms = tuple([_strip_conjugator(t, use_root_moves) for t in s])
+    while True:
+        terms = cancel_adjacent(terms)
+        reduced = _sandwich_once(terms, use_root_moves)
+        if reduced is None:
+            return terms
+        terms = reduced
 
 
 def simplify(s: YSequence) -> YSequence:
@@ -300,14 +268,9 @@ def simplify(s: YSequence) -> YSequence:
     result may differ from the input by root module identities, which is a
     valid alternative log.
     """
-    if s.is_empty():
-        return s
-    if len(s) > SIMPLIFY_MAX_TERMS:
-        return YSequence(_closure(s.terms, True))
-
-    start = _closure(s.terms, True)
-    if not start:
-        return EMPTY
+    start = peiffer_closure(s)
+    if not start or len(s) > SIMPLIFY_MAX_TERMS:
+        return start
     max_conj = max(len(t.conjugator) for t in start) + 2 * max(
         len(t.relator.word) for t in start
     )
@@ -327,18 +290,18 @@ def simplify(s: YSequence) -> YSequence:
         else:
             stale += 1
         if not terms:
-            return EMPTY
+            return ()
         expanded += 1
         for nxt in _transpositions(terms, max_conj):
-            nxt = _closure(nxt, True)
+            nxt = peiffer_closure(nxt)
             key = _seq_key(nxt)
             if key in seen:
                 continue
             seen.add(key)
             heapq.heappush(heap, (_weight(nxt), next(counter), nxt))
             if not nxt:
-                return EMPTY
-    return YSequence(best)
+                return ()
+    return best
 
 
 # -- the primary identity property -------------------------------------------
@@ -365,10 +328,8 @@ def is_primary_identity(
     if n > PRIMARY_MAX_TERMS:
         raise WordError(f"sequence too long for the pairing search ({n} terms)")
 
-    terms = s.terms
-
     def compatible(i: int, j: int) -> bool:
-        ti, tj = terms[i], terms[j]
+        ti, tj = s[i], s[j]
         if ti.relator != tj.relator or ti.sign != -tj.sign:
             return False
         q = free_multiply(ti.conjugator, inverse(tj.conjugator))
@@ -401,9 +362,9 @@ def render_yterm(t: YTerm) -> str:
 
 
 def render_ysequence(s: YSequence) -> str:
-    if s.is_empty():
+    if not s:
         return "<idY>"
-    return " ".join(render_yterm(t) for t in s.terms)
+    return " ".join(render_yterm(t) for t in s)
 
 
 def parse_ysequence(
@@ -411,7 +372,7 @@ def parse_ysequence(
 ) -> YSequence:
     text = text.strip()
     if text in ("", "<idY>"):
-        return EMPTY
+        return ()
     terms: list[YTerm] = []
     pos = 0
     while pos < len(text):
@@ -435,4 +396,4 @@ def parse_ysequence(
         terms.append(
             YTerm(relators[label], POS if sign_text == "+" else NEG, conj)
         )
-    return YSequence(terms)
+    return tuple(terms)

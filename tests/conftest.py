@@ -107,5 +107,5 @@ def rescan_reduce(w, sys, max_steps=REDUCE_MAX_STEPS, rightmost=False):
             )
         pos, rule = hit
         prefix = GroupWord(w.alphabet, word[:pos])
-        log_terms.extend(act(rule.log, inverse(prefix)).terms)
+        log_terms.extend(act(rule.log, inverse(prefix)))
         word = word[:pos] + rule.rhs.letters + word[pos + len(rule.lhs) :]

@@ -195,9 +195,18 @@ class TestPlumbing:
             main(["complete", q8_file, "--frobnicate"])
         assert exc.value.code == 2
 
-    def test_missing_file(self, capsys):
-        code, _, err = run(capsys, "complete", "/nonexistent.pres")
-        assert code == 1 and "error:" in err
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+    def test_missing_file(self, capsys, tmp_path, kind):
+        path = tmp_path / "p.pres"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not utf-8":
+            path.write_bytes(b"generators: \xff\n")
+        code, _, err = run(capsys, "complete", str(path))
+        assert code == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+        if kind == "not utf-8":
+            assert err.startswith(f"error: {path}: ")
 
     def test_parse_error_reported(self, capsys, tmp_path):
         path = tmp_path / "bad.pres"

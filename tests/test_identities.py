@@ -41,7 +41,10 @@ from logrewrite.ysequences import (
     cancel_adjacent,
     invert,
     is_primary_identity,
+    parse_ysequence,
+    peiffer_closure,
     render_ysequence,
+    root_normalize,
     simplify,
 )
 
@@ -93,7 +96,7 @@ class TestCayleyGraph:
             step = MonoidWord(q8.alphabet, g.letters + (2 * gen,))
             nf, _ = logged_reduce(step, q8_graph.sys)
             if nf == step:
-                assert e.k1.is_empty()
+                assert not e.k1
 
     def test_trivial_group(self):
         p = parse_presentation(TRIVIAL_TEXT)
@@ -132,7 +135,7 @@ class TestK1Values:
         assert k1("A", "b") == "(r1^-) (r4^+)^{a^-1}"
 
     def test_nine_nontrivial(self, q8_graph):
-        nontrivial = [e for e in q8_graph.edges.values() if not e.k1.is_empty()]
+        nontrivial = [e for e in q8_graph.edges.values() if e.k1]
         assert len(nontrivial) == 9
 
 
@@ -224,7 +227,7 @@ def translate_scan(records, graph):
     sigma_images = [mu_inverse(v) for v in graph.vertices]
     for rec in ordered:
         seq = rec.sequence
-        if seq.is_empty():
+        if not seq:
             rec.status = TRIVIAL
             continue
         try:
@@ -324,7 +327,7 @@ class TestDiscardCases:
         graph, kept = setting
         t = YTerm(q8.relators[0], POS, GroupWord(q8.alphabet))
         seq = YSequence([t, t.inverted()] * 11)
-        assert len(seq) > 20 and cancel_adjacent(seq).is_empty()
+        assert len(seq) > 20 and not cancel_adjacent(seq)
         records = [
             IdentityRecord(graph.vertices[0], kept.relator, kept.sequence),
             IdentityRecord(graph.vertices[1], q8.relators[0], seq),
@@ -348,7 +351,7 @@ class TestSampledApi:
                 g = parse_group(abelian.alphabet, f"x^{n} y^{m}")
                 s = identity_for(abelian_system, g, rho)
                 assert boundary(s, abelian.alphabet).is_identity()
-                assert simplify(s).is_empty()
+                assert not simplify(s)
 
     def test_abelian_k1_product(self, abelian, abelian_system):
         # m applications of the rule yx -> xy give m terms (r^-)^{y^-j x^-n}
@@ -361,7 +364,7 @@ class TestSampledApi:
                 expected = [
                     conjugate_text(al, j, n) for j in range(m - 1, -1, -1)
                 ]
-                got = [render_ysequence(YSequence([t])) for t in s.terms]
+                got = [render_ysequence(YSequence([t])) for t in s]
                 assert got == expected
 
     def test_q8_sampled_matches_pipeline(self, q8, q8_system, q8_pipeline):
@@ -369,6 +372,59 @@ class TestSampledApi:
         g = parse_group(q8.alphabet, "a a")
         s = identity_for(q8_system, g, rho)
         assert boundary(s, q8.alphabet).is_identity()
+
+
+# every producer of Y-sequences, as a function of the Q8 fixtures, giving
+# the sequences it returned
+def _seq(p):
+    return parse_ysequence(
+        "(r1^+)^{a} (r3^+) (r3^-) (r2^-)^{b^-1}", p.relator_map(), p.alphabet
+    )
+
+
+PRODUCERS = {
+    "logged_reduce": lambda p, report, graph: [
+        logged_reduce(parse_monoid(p.alphabet, "a b b a"), report.final_system)[1]
+    ],
+    "rule logs": lambda p, report, graph: [r.log for r in report.final_system.rules],
+    "report.identities": lambda p, report, graph: report.identities,
+    "act": lambda p, report, graph: [act(_seq(p), parse_group(p.alphabet, "b"))],
+    "invert": lambda p, report, graph: [invert(_seq(p))],
+    "cancel_adjacent": lambda p, report, graph: [cancel_adjacent(_seq(p))],
+    "root_normalize": lambda p, report, graph: [root_normalize(_seq(p))],
+    "peiffer_closure": lambda p, report, graph: [peiffer_closure(_seq(p))],
+    "simplify": lambda p, report, graph: [simplify(_seq(p))],
+    "parse_ysequence": lambda p, report, graph: [
+        _seq(p),
+        parse_ysequence("<idY>", p.relator_map(), p.alphabet),
+    ],
+    "compute_k1": lambda p, report, graph: [
+        compute_k1(report.final_system, e.source, e.label, e.target)
+        for e in graph.edges.values()
+    ],
+    "separation_identity": lambda p, report, graph: [
+        separation_identity(g, rho, graph)
+        for g in graph.vertices
+        for rho in p.relators
+    ],
+    "identity_for": lambda p, report, graph: [
+        identity_for(report.final_system, parse_group(p.alphabet, "a b"), rho)
+        for rho in p.relators
+    ],
+    "k1_for": lambda p, report, graph: [
+        k1_for(report.final_system, parse_group(p.alphabet, w), x)
+        for w in ("<id>", "a", "a b")
+        for x in ("a", "b")
+    ],
+}
+
+
+@pytest.mark.parametrize("producer", sorted(PRODUCERS))
+def test_ysequences_are_plain_tuples(producer, q8, q8_report, q8_graph):
+    values = PRODUCERS[producer](q8, q8_report, q8_graph)
+    assert values
+    for x in values:
+        assert type(x) is tuple
 
 
 def conjugate_text(al, j, n):

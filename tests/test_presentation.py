@@ -56,6 +56,7 @@ class TestParseErrors:
         "text,line",
         [
             ("relators:\n  r = a\n", 1),  # no generators
+            ("generators: a, A\nrelators:\n  r = A^3\n", 1),  # `A` is a^-1
             ("generators: a\nnonsense\n", 2),
             ("generators: a\norder: degree\n", 2),
             ("generators: a\nrelators:\n  r = \n", 3),
@@ -94,7 +95,7 @@ class TestInitialRules:
             "(r3^+)",
             "(r4^+)",
         ]
-        assert all(log.is_empty() for _, log, _ in rules[4:])
+        assert all(not log for _, log, _ in rules[4:])
         # the relator images, then one cancellation pair per signed letter
         assert " ".join(render_monoid(lhs) for lhs, _, _ in rules) == (
             "aaaa bbbb abaB aabb aA Aa bB Bb"

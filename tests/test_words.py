@@ -72,6 +72,8 @@ class TestAlphabet:
             Alphabet(["a", "a"])
         with pytest.raises(WordError):
             Alphabet(["1a"])
+        with pytest.raises(WordError, match="inverse of 'a'"):
+            Alphabet(["a", "A"])  # `A` is read as a^-1
         with pytest.raises(WordError):
             AB.index("c")
 
@@ -178,6 +180,9 @@ class TestGroupWord:
     def test_alphabet_takes_part_in_equality(self, codes):
         for make in (GroupWord, MonoidWord):
             assert make(AB, codes) != make(XY, codes)
+
+    def test_type_takes_part_in_equality(self):
+        assert MonoidWord(AB, (0,)) != GroupWord(AB, (0,))
 
 
 def test_reimport_keeps_no_old_module_alive():
