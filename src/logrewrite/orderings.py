@@ -129,7 +129,8 @@ def _split(w: tuple, m: int) -> list[tuple]:
 
 
 def parse_letter_order(alphabet: Alphabet, items: Sequence[str]) -> tuple[int, ...]:
-    """Parse letter names like ``a+``, ``a-`` (or ``a`` / ``A``), least first."""
+    """Parse letter names like ``a+``, ``a-`` (or ``a`` / ``A``), least
+    first; every signed letter must appear exactly once."""
     codes: list[int] = []
     for item in items:
         item = item.strip()
@@ -141,4 +142,11 @@ def parse_letter_order(alphabet: Alphabet, items: Sequence[str]) -> tuple[int, .
             codes.append(alphabet.neg(item.lower()))
         else:
             codes.append(alphabet.pos(item))
+    if sorted(codes) != list(alphabet.letters()):
+        names = ", ".join(alphabet.letter_name(c) for c in codes)
+        every = ", ".join(alphabet.letter_name(c) for c in alphabet.letters())
+        raise WordError(
+            f"letter order {names} is not a permutation of the signed "
+            f"alphabet {every}"
+        )
     return tuple(codes)

@@ -63,8 +63,10 @@ def parse_presentation(
     alphabet: Optional[Alphabet] = None
     order_kind = "shortlex"
     letters_text: Optional[str] = None
+    letters_line = 0
     relator_items: list[tuple[str, str, int]] = []
     in_relators = False
+    declared: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -74,6 +76,9 @@ def parse_presentation(
         key = key.strip().lower()
         if sep and key in ("generators", "order", "letters", "relators"):
             in_relators = False
+            if key in declared and key != "relators":
+                raise ParseError(f"duplicate '{key}:' declaration", lineno)
+            declared.add(key)
             if key == "generators":
                 names = [n.strip() for n in value.split(",") if n.strip()]
                 try:
@@ -86,6 +91,7 @@ def parse_presentation(
                     raise ParseError(f"unknown order {value.strip()!r}", lineno)
             elif key == "letters":
                 letters_text = value.strip()
+                letters_line = lineno
             else:
                 in_relators = True
             continue
@@ -121,7 +127,12 @@ def parse_presentation(
     if letter_order_override is not None:
         letters_text = letter_order_override
     if letters_text:
-        letter_order = parse_letter_order(alphabet, letters_text.split(","))
+        try:
+            letter_order = parse_letter_order(alphabet, letters_text.split(","))
+        except WordError as exc:
+            if letter_order_override is not None:  # an override has no line
+                raise
+            raise ParseError(str(exc), letters_line) from None
     order = OrderSpec(order_kind, alphabet, letter_order)
     return Presentation(alphabet, tuple(relators), order)
 

@@ -73,7 +73,9 @@ class LoggedRewriteSystem:
     or deletes a rule at its own index.  Call ``_rebuild_index`` after a
     change; it rebuilds the first-letter buckets, the id lookup and
     ``_maxlhs``, the length of the longest lhs, which bounds how far
-    ``logged_reduce`` rescans after a rewrite."""
+    ``logged_reduce``'s bucket scan rescans after a rewrite, and drops
+    the index automaton, which the next reduction builds again from the
+    new rules (``automaton``)."""
 
     def __init__(self, presentation: Presentation, rules: Iterable[LoggedRule]):
         self.presentation = presentation
@@ -90,6 +92,8 @@ class LoggedRewriteSystem:
             self._by_id[rule.id] = rule
             self._by_first.setdefault(rule.lhs.letters[0], []).append(rule)
             self._maxlhs = max(self._maxlhs, len(rule.lhs.letters))
+        # None: not built yet; False: some lhs is a subword of another
+        self._dfa: Union[None, bool, tuple[list[int], list]] = None
 
     def rules_by_id(self) -> list[LoggedRule]:
         return list(self.rules)
@@ -104,6 +108,63 @@ class LoggedRewriteSystem:
             if word[pos : pos + len(lhs)] == lhs and rule.id != exclude:
                 return rule
         return None
+
+    def automaton(self) -> Optional[tuple[list[int], list]]:
+        """The Aho-Corasick automaton of the lhs set, ``(delta, out)``, or
+        None when one lhs is a subword of another (two equal lhs count).
+
+        A state is the offset of its row in ``delta``, 0 the start, so
+        reading letter ``c`` in state ``s`` goes to ``delta[s + c]``;
+        ``out[s]`` is the rule whose lhs ends there, else None.  Every
+        row is full, the rows of states that end an lhs included.  Built
+        on the first call after ``_rebuild_index``, which also makes the
+        subword test: an lhs whose insertion passes or stops at a state
+        that ends an earlier lhs, or stops at a state with a child, has a
+        prefix among the others or is one; a fail link to a state that
+        ends an lhs finds an lhs ending inside another.
+        """
+        if self._dfa is None:
+            self._dfa = _index_automaton(
+                self.rules, 2 * len(self.presentation.alphabet)
+            ) or False
+        return self._dfa or None
+
+
+def _index_automaton(
+    rules: list[LoggedRule], width: int
+) -> Optional[tuple[list[int], list]]:
+    delta = [-1] * width  # -1: no edge in the trie (yet)
+    out: list = [None] * width
+    for rule in rules:
+        s = 0
+        for c in rule.lhs.letters:
+            if out[s] is not None:
+                return None
+            t = delta[s + c]
+            if t < 0:
+                t = delta[s + c] = len(delta)
+                delta.extend([-1] * width)
+                out.extend([None] * width)
+            s = t
+        if out[s] is not None or max(delta[s : s + width]) >= 0:
+            return None
+        out[s] = rule
+    order = [t for t in delta[:width] if t > 0]
+    fail = dict.fromkeys(order, 0)
+    for c in range(width):
+        delta[c] = max(delta[c], 0)
+    for s in order:  # breadth first, so fail[s] has its full row
+        f = fail[s]
+        if out[f] is not None:
+            return None
+        for c in range(width):
+            t = delta[s + c]
+            if t < 0:
+                delta[s + c] = delta[f + c]
+            else:
+                fail[t] = delta[f + c]
+                order.append(t)
+    return delta, out
 
 
 def initial_logged_system(p: Presentation) -> LoggedRewriteSystem:
@@ -126,12 +187,28 @@ def logged_reduce(
     ``REDUCE_MAX_STEPS`` rewrites, or whose word grows longer than
     ``REDUCE_MAX_WORD_LEN`` letters, raises ``BudgetError``.
 
-    After a rewrite at ``pos`` the scan resumes near ``pos`` instead of
-    restarting, and makes the same rewrites as a full rescan would: no
-    match started before ``pos``, and a match starting before
-    ``pos - _maxlhs + 1`` would lie inside the unchanged ``word[:pos]``,
-    so the scan goes on from there (``_maxlhs`` may count the excluded
-    rule; a longer window only rescans more).
+    Only the search for the next match depends on the system.  When no
+    lhs is a subword of another, at most one lhs ends at each position:
+    two that end at one position are suffixes of one another.  So the
+    first match to end is also the leftmost-starting one (a match that
+    starts earlier and ends later would contain it), and it is the only
+    match at its start (one that starts there too is a prefix of it or
+    has it as a prefix).  The scan then reads the word left to right on
+    the system's automaton, keeping ``states[j]``, the state after
+    ``word[:j]``.  A rewrite at ``pos`` leaves ``word[:pos]`` alone, and
+    no match ended inside it, so the stack is cut back to ``pos + 1``
+    entries and reading resumes at ``pos``: the letters before ``pos``
+    are not read again.  Skipping the output of the excluded rule and
+    reading on is exact under the same condition: the matches of the
+    other rules are those of the system without it, and the fail links,
+    built over the whole lhs set, still find the next one to end.
+
+    Otherwise the bucket scan tests each position with ``match_at``, and
+    after a rewrite at ``pos`` resumes near ``pos``: no match started
+    before ``pos``, and a match starting before ``pos - _maxlhs + 1``
+    would lie inside the unchanged ``word[:pos]`` (``_maxlhs`` may count
+    the excluded rule; a longer window only rescans more).  Both scans
+    make the same rewrites as a full rescan would.
 
     The inverse prefix is kept at a cursor ``k``: ``inv`` is the free
     reduction of ``word[:k]`` with every letter flipped, so ``inv[::-1]``
@@ -144,6 +221,10 @@ def logged_reduce(
     word = w.letters
     maxlhs = sys._maxlhs
     match_at = sys.match_at
+    dfa = sys.automaton()
+    if dfa is not None:
+        delta, out = dfa
+        states = [0]
     log_terms: list = []
     inv: list[int] = []
     undo: list[int] = []
@@ -151,13 +232,26 @@ def logged_reduce(
     steps = 0
     pos = 0
     while True:
-        rule = None
         n = len(word)
-        while pos < n:
-            rule = match_at(word, pos, exclude=exclude)
-            if rule is not None:
-                break
-            pos += 1
+        if dfa is None:
+            rule = None
+            while pos < n:
+                rule = match_at(word, pos, exclude=exclude)
+                if rule is not None:
+                    break
+                pos += 1
+        else:
+            del states[pos + 1 :]
+            s = states[pos]
+            for j in range(pos, n):
+                s = delta[s + word[j]]
+                states.append(s)
+                rule = out[s]
+                if rule is not None and rule.id != exclude:
+                    pos = j + 1 - len(rule.lhs.letters)
+                    break
+            else:
+                rule = None
         if rule is None:
             return _monoid_word(alphabet, word), tuple(log_terms)
         steps += 1
@@ -187,7 +281,8 @@ def logged_reduce(
             raise BudgetError(
                 f"word length budget exceeded while reducing {w!r}"
             )
-        pos = max(pos - maxlhs + 1, 0)
+        if dfa is None:
+            pos = max(pos - maxlhs + 1, 0)
 
 
 def normal_form_fn(sys: LoggedRewriteSystem) -> Callable[[MonoidWord], MonoidWord]:

@@ -79,12 +79,13 @@ def trefoil_system(trefoil_report):
     return trefoil_report.final_system
 
 
-def rescan_reduce(w, sys, max_steps=REDUCE_MAX_STEPS, rightmost=False):
+def rescan_reduce(w, sys, max_steps=REDUCE_MAX_STEPS, rightmost=False, *, exclude=0):
     """Reference logged reduction: rescan the whole word after every
     rewrite and rebuild the inverse prefix from scratch.  Returns the
     normal form, the log and the number of rewrites.  ``rightmost`` scans
     from the right end instead, for the confluence checks: on a complete
-    system both directions reach the same normal form."""
+    system both directions reach the same normal form.  The rule with id
+    ``exclude`` is skipped, as in ``logged_reduce``."""
     word = w.letters
     log_terms = []
     steps = 0
@@ -94,7 +95,7 @@ def rescan_reduce(w, sys, max_steps=REDUCE_MAX_STEPS, rightmost=False):
         if rightmost:
             positions = range(len(word) - 1, -1, -1)
         for pos in positions:
-            rule = sys.match_at(word, pos)
+            rule = sys.match_at(word, pos, exclude=exclude)
             if rule is not None:
                 hit = (pos, rule)
                 break

@@ -5,7 +5,13 @@ from logrewrite.presentation import (
     initial_logged_rules,
     parse_presentation,
 )
-from logrewrite.words import free_multiply, mu_inverse, parse_group, render_monoid
+from logrewrite.words import (
+    WordError,
+    free_multiply,
+    mu_inverse,
+    parse_group,
+    render_monoid,
+)
 from logrewrite.ysequences import boundary
 
 from tests.conftest import ABELIAN_TEXT, Q8_TEXT, TREFOIL_TEXT
@@ -63,6 +69,12 @@ class TestParseErrors:
             ("generators: a\nrelators:\n  r = a\n  r = a^2\n", 4),
             ("generators: a\nrelators:\n  r = b\n", 3),  # unknown generator
             ("generators: a\nrelators:\n  r = a a^-1\n", 3),  # empty relator
+            ("generators: a, b\nletters: a+, b+\n", 2),  # not a permutation
+            ("generators: a, b\nletters: a+, a-, c+\n", 2),  # unknown letter
+            ("generators: a\ngenerators: b\nrelators:\n  r = a^2\n", 2),
+            ("generators: a\norder: syllable\norder: shortlex\n", 3),
+            ("generators: a\nletters: a+, a-\nrelators:\nletters: a-, a+\n", 4),
+            ("generators: a\nrelators:\n  r = a^2\ngenerators: b\n", 4),
         ],
     )
     def test_line_numbers(self, text, line):
@@ -70,6 +82,37 @@ class TestParseErrors:
             parse_presentation(text)
         assert exc.value.line == line
         assert f"line {line}:" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                "generators: a, b\nletters: a+, b+\n",
+                "line 2: letter order a, b is not a permutation of the signed "
+                "alphabet a, A, b, B",
+            ),
+            (
+                "generators: a, b\nletters: a+, a-, c+\n",
+                "line 2: unknown generator 'c'",
+            ),
+            (
+                "generators: a\ngenerators: b\n",
+                "line 2: duplicate 'generators:' declaration",
+            ),
+        ],
+    )
+    def test_header_messages(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_presentation(text)
+        assert str(exc.value) == message
+
+    def test_letters_override_names_letters(self):
+        with pytest.raises(WordError) as exc:
+            parse_presentation(Q8_TEXT, letter_order_override="a+, b+")
+        assert not isinstance(exc.value, ParseError)
+        assert str(exc.value) == (
+            "letter order a, b is not a permutation of the signed alphabet a, A, b, B"
+        )
 
 
 class TestInitialRules:

@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from logrewrite import rewriting
-from logrewrite.presentation import parse_presentation
+from logrewrite.presentation import ParseError, parse_presentation
 from logrewrite.rewriting import (
     MAX_PASSES,
     MAX_RULES,
@@ -166,6 +167,49 @@ def sized_words_over(alphabet, max_size=200):
     )
 
 
+def assert_same_as_rescan(data, w, sys, exclude=0):
+    """``logged_reduce`` makes the rewrites of ``rescan_reduce``: the same
+    normal form, the same log term for term, and under a drawn step
+    budget the same ``BudgetError``."""
+    nf, log = logged_reduce(w, sys, exclude=exclude)
+    ref_nf, ref_log, steps = rescan_reduce(w, sys, exclude=exclude)
+    assert nf == ref_nf
+    assert log == ref_log
+    # a step budget trips on the same rewrite, with the same word
+    budget = data.draw(st.integers(min_value=0, max_value=steps))
+    with mock.patch.object(rewriting, "REDUCE_MAX_STEPS", budget):
+        if budget < steps:
+            with pytest.raises(BudgetError) as got:
+                logged_reduce(w, sys, exclude=exclude)
+            with pytest.raises(BudgetError) as want:
+                rescan_reduce(w, sys, budget, exclude=exclude)
+            assert str(got.value) == str(want.value)
+        else:
+            assert logged_reduce(w, sys, exclude=exclude) == (nf, log)
+
+
+@st.composite
+def random_initial_systems(draw):
+    """The initial system of a random presentation: 1-3 generators and
+    1-4 relators of 1-12 letters (a relator that freely reduces to the
+    empty word is rejected)."""
+    names = "abc"[: draw(st.integers(min_value=1, max_value=3))]
+    letter = st.sampled_from([n + sign for n in names for sign in ("", "^-1")])
+    relators = draw(
+        st.lists(
+            st.lists(letter, min_size=1, max_size=12), min_size=1, max_size=4
+        )
+    )
+    text = f"generators: {', '.join(names)}\nrelators:\n" + "".join(
+        f"  r{i} = {' '.join(r)}\n" for i, r in enumerate(relators, start=1)
+    )
+    try:
+        p = parse_presentation(text)
+    except ParseError:
+        reject()
+    return initial_logged_system(p)
+
+
 class TestResumingReduce:
     """``logged_reduce`` resumes after each rewrite; it must rewrite
     exactly as the rescan-from-the-start reference does."""
@@ -185,21 +229,83 @@ class TestResumingReduce:
     def test_same_rewrites_as_rescan(self, name, data):
         sys = REDUCE_SYSTEMS[name]
         w = data.draw(sized_words_over(sys.presentation.alphabet))
-        nf, log = logged_reduce(w, sys)
-        ref_nf, ref_log, steps = rescan_reduce(w, sys)
-        assert nf == ref_nf
-        assert log == ref_log
-        # a step budget trips on the same rewrite, with the same word
-        budget = data.draw(st.integers(min_value=0, max_value=steps))
-        with mock.patch.object(rewriting, "REDUCE_MAX_STEPS", budget):
-            if budget < steps:
-                with pytest.raises(BudgetError) as got:
-                    logged_reduce(w, sys)
-                with pytest.raises(BudgetError) as want:
-                    rescan_reduce(w, sys, budget)
-                assert str(got.value) == str(want.value)
-            else:
-                assert logged_reduce(w, sys) == (nf, log)
+        assert_same_as_rescan(data, w, sys)
+
+    # both scans: the automaton when no lhs is a subword of another,
+    # else the first-letter buckets
+    @pytest.mark.parametrize("automaton", [True, False])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_initial_systems(self, automaton, data):
+        sys = data.draw(random_initial_systems())
+        assume((sys.automaton() is not None) == automaton)
+        exclude = data.draw(st.sampled_from([0] + [r.id for r in sys.rules]))
+        w = data.draw(sized_words_over(sys.presentation.alphabet))
+        assert_same_as_rescan(data, w, sys, exclude)
+
+
+SHORTER_FIRST_TEXT = """\
+generators: a, b
+relators:
+  r1 = a b
+  r2 = a b^2 a
+"""
+
+INNER_TEXT = """\
+generators: a, b
+relators:
+  r1 = a b^2 a
+  r2 = b^2
+"""
+
+EQUAL_TEXT = """\
+generators: a, b
+relators:
+  r1 = a b a
+  r2 = a b a
+"""
+
+
+class TestAutomaton:
+    """A system reduces on an automaton exactly when no lhs is a subword
+    of another."""
+
+    @pytest.mark.parametrize("name", ["q8", "d20", "trefoil", "z2", "q8-initial"])
+    def test_subword_free_systems_get_one(self, name):
+        assert REDUCE_SYSTEMS[name].automaton() is not None
+
+    @pytest.mark.parametrize(
+        "sys",
+        [
+            REDUCE_SYSTEMS["nested"],  # aa is a prefix of aaab
+            initial_logged_system(parse_presentation(SHORTER_FIRST_TEXT)),  # ab, abba
+            initial_logged_system(parse_presentation(INNER_TEXT)),  # bb in abba
+            initial_logged_system(parse_presentation(EQUAL_TEXT)),  # aba twice
+        ],
+        ids=["prefix", "prefix-shorter-first", "inner", "equal"],
+    )
+    def test_a_subword_denies_it(self, sys):
+        assert sys.automaton() is None
+
+    @pytest.mark.parametrize("name", sorted(REDUCE_SYSTEMS))
+    def test_no_stale_automaton_after_a_change(self, name):
+        """After a removal or an rhs replacement and ``_rebuild_index``,
+        every lhs reduces as over a system built afresh from the rules."""
+        base = REDUCE_SYSTEMS[name]
+        empty = MonoidWord(base.presentation.alphabet)
+        for i, rule in enumerate(base.rules):
+            removed = [r for r in base.rules if r is not rule]
+            changed = list(base.rules)
+            changed[i] = replace(rule, rhs=empty)
+            for rules in (removed, changed):
+                sys = LoggedRewriteSystem(base.presentation, base.rules)
+                for r in base.rules:
+                    logged_reduce(r.lhs, sys)  # builds the automaton
+                sys.rules[:] = rules
+                sys._rebuild_index()
+                fresh = LoggedRewriteSystem(base.presentation, rules)
+                for r in base.rules:
+                    assert logged_reduce(r.lhs, sys) == logged_reduce(r.lhs, fresh)
 
 
 class TestExclude:
