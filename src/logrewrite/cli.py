@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys as _sys
 
 from . import __version__
@@ -273,7 +274,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        _sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: say nothing, and point stdout at devnull
+        # so that the flush at exit does not fail again (the recipe of
+        # the Python ``signal`` docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, _sys.stdout.fileno())
+        os.close(devnull)
     except UnicodeDecodeError as exc:
         print(f"error: {args.file}: {exc}", file=_sys.stderr)
     except (OSError, WordError, BudgetError, InfiniteGroupError) as exc:

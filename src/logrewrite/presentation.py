@@ -92,6 +92,8 @@ def parse_presentation(
             elif key == "letters":
                 letters_text = value.strip()
                 letters_line = lineno
+                if not letters_text:
+                    raise ParseError("empty 'letters:' declaration", lineno)
             else:
                 in_relators = True
             continue
@@ -125,8 +127,10 @@ def parse_presentation(
 
     letter_order: tuple[int, ...] = ()
     if letter_order_override is not None:
+        if not letter_order_override.strip():
+            raise WordError("empty letter order")
         letters_text = letter_order_override
-    if letters_text:
+    if letters_text is not None:
         try:
             letter_order = parse_letter_order(alphabet, letters_text.split(","))
         except WordError as exc:

@@ -73,7 +73,7 @@ class LoggedRewriteSystem:
     or deletes a rule at its own index.  Call ``_rebuild_index`` after a
     change; it rebuilds the first-letter buckets, the id lookup and
     ``_maxlhs``, the length of the longest lhs, which bounds how far
-    ``logged_reduce``'s bucket scan rescans after a rewrite, and drops
+    the bucket scan of ``_reduce`` rescans after a rewrite, and drops
     the index automaton, which the next reduction builds again from the
     new rules (``automaton``)."""
 
@@ -187,6 +187,26 @@ def logged_reduce(
     ``REDUCE_MAX_STEPS`` rewrites, or whose word grows longer than
     ``REDUCE_MAX_WORD_LEN`` letters, raises ``BudgetError``.
 
+    This builds the log, acting on every applied rule's log by the
+    inverse prefix.  Callers that throw the log away use the log-free
+    ``_reduce``, which makes the same rewrites in the same scan.
+    """
+    log: list = []
+    nf, _ = _reduce(w, sys, exclude=exclude, log=log)
+    return nf, tuple(log)
+
+
+def _reduce(
+    w: MonoidWord,
+    sys: LoggedRewriteSystem,
+    exclude: int = 0,
+    log: Optional[list] = None,
+) -> tuple[MonoidWord, int]:
+    """The scan of ``logged_reduce``: the normal form of ``w`` and the
+    number of terms its log has, ``sum(len(rule.log))`` over the rewrites.
+    The log's terms are appended to ``log`` when it is a list; when it is
+    None, the inverse prefix is not kept and no log is acted on.
+
     Only the search for the next match depends on the system.  When no
     lhs is a subword of another, at most one lhs ends at each position:
     two that end at one position are suffixes of one another.  So the
@@ -225,10 +245,10 @@ def logged_reduce(
     if dfa is not None:
         delta, out = dfa
         states = [0]
-    log_terms: list = []
     inv: list[int] = []
     undo: list[int] = []
     k = 0
+    terms = 0
     steps = 0
     pos = 0
     while True:
@@ -253,28 +273,30 @@ def logged_reduce(
             else:
                 rule = None
         if rule is None:
-            return _monoid_word(alphabet, word), tuple(log_terms)
+            return _monoid_word(alphabet, word), terms
         steps += 1
         if steps > REDUCE_MAX_STEPS:
             raise BudgetError(
                 f"reduction budget exceeded on {_monoid_word(alphabet, word)!r}"
             )
-        while k < pos:
-            c = word[k]
-            if inv and inv[-1] == c:
-                undo.append(inv.pop())
-            else:
-                inv.append(c ^ 1)
-                undo.append(-1)
-            k += 1
-        while k > pos:
-            c = undo.pop()
-            if c < 0:
-                inv.pop()
-            else:
-                inv.append(c)
-            k -= 1
-        log_terms.extend(act(rule.log, _group_word(alphabet, tuple(inv[::-1]))))
+        terms += len(rule.log)
+        if log is not None:
+            while k < pos:
+                c = word[k]
+                if inv and inv[-1] == c:
+                    undo.append(inv.pop())
+                else:
+                    inv.append(c ^ 1)
+                    undo.append(-1)
+                k += 1
+            while k > pos:
+                c = undo.pop()
+                if c < 0:
+                    inv.pop()
+                else:
+                    inv.append(c)
+                k -= 1
+            log.extend(act(rule.log, _group_word(alphabet, tuple(inv[::-1]))))
         rhs = rule.rhs.letters
         word = word[:pos] + rhs + word[pos + len(rule.lhs.letters) :]
         if len(word) > REDUCE_MAX_WORD_LEN:
@@ -286,12 +308,12 @@ def logged_reduce(
 
 
 def normal_form_fn(sys: LoggedRewriteSystem) -> Callable[[MonoidWord], MonoidWord]:
-    """The normal form function of a complete system (log discarded)."""
+    """The normal form function of a complete system (no log is built)."""
     if not sys.complete:
         raise WordError("normal forms require a complete system")
 
     def nf(w: MonoidWord) -> MonoidWord:
-        return logged_reduce(w, sys)[0]
+        return _reduce(w, sys)[0]
 
     return nf
 
@@ -407,6 +429,20 @@ def process_overlap(
     return NewPair(zprime=zp, log=log, z=z)
 
 
+def _joined_terms(o: OverlapDescriptor, sys: LoggedRewriteSystem) -> Optional[int]:
+    """The number of terms of the identity ``process_overlap`` would
+    harvest from ``o``, or None when the pair does not resolve; no log is
+    built.  ``invert``, ``act`` and ``+`` keep lengths, so the identity
+    has ``len(dp) + len(ra.log) + len(rb.log) + len(d)`` terms."""
+    ra = _rule(sys, o.rule_a)
+    rb = _rule(sys, o.rule_b)
+    z, d = _reduce(o.u.concat(rb.rhs).concat(o.v), sys)
+    zp, dp = _reduce(ra.rhs.concat(o.vprime), sys)
+    if z != zp:
+        return None
+    return dp + len(ra.log) + len(rb.log) + d
+
+
 # -- completion --------------------------------------------------------------
 
 # CompletionReport.stopped: a limit, or a pair the certification left open
@@ -415,12 +451,40 @@ MAX_PASSES, MAX_RULES, UNRESOLVED = "max_passes", "max_rules", "unresolved"
 
 @dataclass
 class CompletionReport:
+    """What a completion made and did.
+
+    ``identities`` holds the non-empty identity of every critical pair
+    that resolved, in the order completion met them.  Completion decides
+    each pair without a log and keeps, per pass, the rules the pass read
+    and its resolved overlaps; the list is built from them with
+    ``process_overlap`` on its first read, and later reads return the
+    same list.  The rules are immutable, so the list is the one a logged
+    completion would have harvested.
+    """
+
     final_system: LoggedRewriteSystem
-    identities: list[YSequence] = field(default_factory=list)
     rules_formed: int = 0
     rules_removed: int = 0
     passes: int = 0
     stopped: Optional[str] = None  # None when complete
+    # per pass: its rules and the overlaps that resolved to a non-empty identity
+    _harvest: list[tuple[list[LoggedRule], list[OverlapDescriptor]]] = field(
+        default_factory=list, init=False, repr=False
+    )
+    _identities: Optional[list[YSequence]] = field(
+        default=None, init=False, repr=False
+    )
+
+    @property
+    def identities(self) -> list[YSequence]:
+        if self._identities is None:
+            p = self.final_system.presentation
+            out: list[YSequence] = []
+            for rules, overlaps in self._harvest:
+                sys = LoggedRewriteSystem(p, rules)
+                out.extend(process_overlap(o, sys).identity for o in overlaps)
+            self._identities, self._harvest = out, []
+        return self._identities
 
 
 def logged_knuth_bendix(
@@ -442,6 +506,12 @@ def logged_knuth_bendix(
     two older rules was resolved in an earlier pass.  On success the
     final system is verified against every overlap and marked complete;
     otherwise ``stopped`` says why not.
+
+    A log is built only for a pair that makes a new rule, whose log is
+    the rule's certificate.  Whether a pair resolves, and whether its
+    identity is empty, is decided by log-free reductions; the
+    certification pass and the removal test of interreduction reduce
+    log-free too.  ``report.identities`` is built on its first read.
     """
     sys = LoggedRewriteSystem(init.presentation, init.rules)
     report = CompletionReport(final_system=sys)
@@ -468,12 +538,14 @@ def logged_knuth_bendix(
         report.passes += 1
         pending = sorted(find_overlaps(sys, frontier), key=pending_key)
         new_rules: list[LoggedRule] = []
+        harvested: list[OverlapDescriptor] = []
         for o in pending:
-            result = process_overlap(o, sys)
-            if isinstance(result, Resolved):
-                if result.identity:
-                    report.identities.append(result.identity)
+            terms = _joined_terms(o, sys)
+            if terms is not None:
+                if terms:
+                    harvested.append(o)
                 continue
+            result = process_overlap(o, sys)
             cmp = sys.presentation.order.compare(result.z, result.zprime)
             if cmp == LT:
                 lhs, log, rhs = result.zprime, result.log, result.z
@@ -485,6 +557,8 @@ def logged_knuth_bendix(
                 log = peiffer_closure(log)
             new_rules.append(LoggedRule(lhs, log, rhs, id=next_id))
             next_id += 1
+        if harvested:
+            report._harvest.append((list(sys.rules), harvested))
         sys.rules.extend(new_rules)
         sys._rebuild_index()
         report.rules_formed += len(new_rules)
@@ -499,8 +573,7 @@ def logged_knuth_bendix(
 
     # certification pass: every overlap of the final system must resolve
     for o in find_overlaps(sys):
-        result = process_overlap(o, sys)
-        if isinstance(result, NewPair):  # pragma: no cover - loop converged
+        if _joined_terms(o, sys) is None:  # pragma: no cover - loop converged
             report.stopped = UNRESOLVED
             return report
     sys.complete = True
@@ -521,9 +594,9 @@ def _interreduce(sys: LoggedRewriteSystem, *, raw_logs: bool) -> int:
         # earlier derivation is the one kept
         for i in range(len(sys.rules) - 1, -1, -1):
             rule = sys.rules[i]
-            z1, _ = logged_reduce(rule.lhs, sys, exclude=rule.id)
+            z1, _ = _reduce(rule.lhs, sys, exclude=rule.id)
             if z1 != rule.lhs:
-                z2, _ = logged_reduce(rule.rhs, sys, exclude=rule.id)
+                z2, _ = _reduce(rule.rhs, sys, exclude=rule.id)
                 if z1 == z2:
                     del sys.rules[i]
                     sys._rebuild_index()

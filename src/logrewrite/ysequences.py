@@ -66,6 +66,12 @@ class RelatorRef:
         root, m = _root_of(word)
         return RelatorRef(label, word, root, m)
 
+    def __hash__(self) -> int:
+        # equal relators have equal labels and letters; this is cheaper
+        # than the generated hash over every field (the sandwich search
+        # hashes a relator per term)
+        return hash((self.label, self.word.letters))
+
     def __repr__(self) -> str:
         return f"RelatorRef({self.label}={render_group(self.word)})"
 
@@ -177,25 +183,32 @@ def _strip_conjugator(t: YTerm, use_root: bool) -> YTerm:
 
 
 def _sandwich_once(terms: tuple, use_root: bool):
-    for i in range(len(terms)):
-        ti = terms[i]
-        for j in range(i + 1, len(terms)):
-            tj = terms[j]
-            if (
-                ti.relator == tj.relator
-                and ti.sign == -tj.sign
-                and ti.conjugator == tj.conjugator
-            ):
-                shift = inverse(ti.boundary())
-                middle = [
-                    _strip_conjugator(
-                        YTerm(t.relator, t.sign, free_multiply(t.conjugator, shift)),
-                        use_root,
-                    )
-                    for t in terms[i + 1 : j]
-                ]
-                return terms[:i] + tuple(middle) + terms[j + 1 :]
-    return None
+    """Collapse the first sandwich ``y^- Z y^+`` (or ``y^+ Z y^-``): the
+    lowest ``i`` with an inverse term at some ``j > i``, and the lowest
+    such ``j``.  Right to left, ``nearest`` maps each term's (relator,
+    sign, conjugator letters) to its nearest later position, so the pair
+    found last is the first one, without a scan over all pairs."""
+    nearest: dict[tuple, int] = {}
+    first = None
+    for i in range(len(terms) - 1, -1, -1):
+        t = terms[i]
+        letters = t.conjugator.letters
+        j = nearest.get((t.relator, -t.sign, letters))
+        if j is not None:
+            first = i, j
+        nearest[(t.relator, t.sign, letters)] = i
+    if first is None:
+        return None
+    i, j = first
+    shift = inverse(terms[i].boundary())
+    middle = [
+        _strip_conjugator(
+            YTerm(t.relator, t.sign, free_multiply(t.conjugator, shift)),
+            use_root,
+        )
+        for t in terms[i + 1 : j]
+    ]
+    return terms[:i] + tuple(middle) + terms[j + 1 :]
 
 
 def _transpositions(terms: tuple, max_conj: int):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,8 @@ from logrewrite.words import parse_monoid
 from logrewrite.ysequences import boundary, parse_ysequence
 
 from tests.conftest import Q8_TEXT, TREFOIL_TEXT
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -214,3 +220,41 @@ class TestPlumbing:
         code, _, err = run(capsys, "complete", str(path))
         assert code == 1
         assert "line 1" in err
+
+    def test_empty_letters_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.pres"
+        path.write_text("generators: a, b\nletters:\nrelators:\n  r = a^2\n")
+        code, out, err = run(capsys, "complete", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: line 2: empty 'letters:' declaration\n"
+
+    def test_empty_letter_order(self, capsys, q8_file):
+        code, out, err = run(capsys, "complete", q8_file, "--letter-order", "")
+        assert (code, out) == (1, "")
+        assert err == "error: empty letter order\n"
+
+    def test_closed_pipe_is_quiet(self, tmp_path):
+        # A5's records in JSON are far larger than a pipe's buffer, so the
+        # writer is still writing when the reader closes its end
+        path = tmp_path / "a5.pres"
+        path.write_text(
+            "generators: a, b\nrelators:\n"
+            "  r1 = a^2\n  r2 = b^3\n  r3 = a b a b a b a b a b\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        argv = ["identities", str(path), "--keep-all", "--format", "json"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "logrewrite.cli", *argv],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as proc:
+            assert proc.stdout.read(10) == b'[\n  {\n    '
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait()
+        assert err == ""
+        assert code == 1

@@ -75,6 +75,7 @@ class TestParseErrors:
             ("generators: a\norder: syllable\norder: shortlex\n", 3),
             ("generators: a\nletters: a+, a-\nrelators:\nletters: a-, a+\n", 4),
             ("generators: a\nrelators:\n  r = a^2\ngenerators: b\n", 4),
+            ("generators: a, b\nletters:\nrelators:\n  r = a^2\n", 2),
         ],
     )
     def test_line_numbers(self, text, line):
@@ -99,6 +100,10 @@ class TestParseErrors:
                 "generators: a\ngenerators: b\n",
                 "line 2: duplicate 'generators:' declaration",
             ),
+            (
+                "generators: a, b\nletters:   # none\nrelators:\n  r = a^2\n",
+                "line 2: empty 'letters:' declaration",
+            ),
         ],
     )
     def test_header_messages(self, text, message):
@@ -113,6 +118,13 @@ class TestParseErrors:
         assert str(exc.value) == (
             "letter order a, b is not a permutation of the signed alphabet a, A, b, B"
         )
+
+    @pytest.mark.parametrize("override", ["", "  "])
+    def test_empty_letters_override(self, override):
+        with pytest.raises(WordError) as exc:
+            parse_presentation(Q8_TEXT, letter_order_override=override)
+        assert not isinstance(exc.value, ParseError)
+        assert str(exc.value) == "empty letter order"
 
 
 class TestInitialRules:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 from unittest import mock
@@ -5,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
-from logrewrite import rewriting
+from logrewrite import identities_pipeline, rewriting
 from logrewrite.presentation import ParseError, parse_presentation
 from logrewrite.rewriting import (
     MAX_PASSES,
@@ -242,6 +243,21 @@ class TestResumingReduce:
         exclude = data.draw(st.sampled_from([0] + [r.id for r in sys.rules]))
         w = data.draw(sized_words_over(sys.presentation.alphabet))
         assert_same_as_rescan(data, w, sys, exclude)
+
+    # the log-free scan makes the same rewrites and counts the log's terms
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_log_free_matches_logged(self, data):
+        sys = data.draw(
+            st.one_of(
+                st.sampled_from(list(REDUCE_SYSTEMS.values())),
+                random_initial_systems(),
+            )
+        )
+        exclude = data.draw(st.sampled_from([0] + [r.id for r in sys.rules]))
+        w = data.draw(sized_words_over(sys.presentation.alphabet))
+        nf, log = logged_reduce(w, sys, exclude=exclude)
+        assert rewriting._reduce(w, sys, exclude=exclude) == (nf, len(log))
 
 
 SHORTER_FIRST_TEXT = """\
@@ -520,6 +536,15 @@ class TestCompletion:
         for s in q8_report.identities:
             assert boundary(s, q8.alphabet).is_identity()
 
+    @pytest.mark.parametrize("text", [Q8_TEXT, TREFOIL_TEXT])
+    def test_identities_built_once(self, text):
+        report = complete_presentation(parse_presentation(text))
+        first = report.identities
+        assert first
+        assert report.identities is first
+        with pytest.raises(AttributeError):
+            report.identities = []
+
     def test_pass_budget_leaves_incomplete(self, q8):
         limits = Limits(max_passes=0)
         report = logged_knuth_bendix(initial_logged_system(q8), limits)
@@ -574,3 +599,151 @@ class TestAcrossSystems:
                 p.alphabet, [rng.randrange(4) for _ in range(rng.randrange(8))]
             )
             check_logging_invariant(w, system)
+
+
+# -- pinned completions ------------------------------------------------------
+#
+# Each digest is the SHA-256 of a completion's rendered rules and logs and
+# of every harvested identity, as logged completion produced them before
+# completion decided critical pairs without logs.  The rule, identity,
+# formed, removed and pass counts are pinned alongside.
+
+S5_TEXT = """\
+generators: a, b
+relators:
+  r1 = a^2
+  r2 = b^5
+  r3 = a b a b a b a b
+  r4 = a b^-1 a b a b^-1 a b a b^-1 a b
+"""
+
+
+def _pin_text(generators, relators, order="shortlex"):
+    return f"generators: {generators}\norder: {order}\nrelators:\n" + "".join(
+        f"  {r}\n" for r in relators
+    )
+
+
+PINNED = {
+    "q8": (
+        Q8_TEXT,
+        (16, 62, 32, 24, 3),
+        "41b52ed4f3d900eeaebcba8915f22b524a2351c3f6f5a89ac7cdf196aedc11f0",
+    ),
+    "s4": (
+        _pin_text("a, b", ["r1 = a^2", "r2 = b^3", "r3 = a b a b a b a b"]),
+        (12, 90, 35, 30, 7),
+        "f5f849864603b714e4354e586c89180e38a7ae2a6acb7345045a80dd77c8a105",
+    ),
+    "s4_coxeter": (
+        _pin_text(
+            "a, b, c",
+            [
+                "r1 = a^2",
+                "r2 = b^2",
+                "r3 = c^2",
+                "r4 = a b a b a b",
+                "r5 = b c b c b c",
+                "r6 = a c a c",
+            ],
+        ),
+        (10, 79, 62, 64, 5),
+        "f973c15dee58a1ef2083cad5266cfd89b8bcd40998da5c554cf6558db0249d0e",
+    ),
+    "z6xz6": (
+        _pin_text("a, b", ["r1 = a^6", "r2 = b^6", "r3 = a b a^-1 b^-1"]),
+        (12, 55, 34, 29, 5),
+        "89a177894bd4cba0f61caffa1fd2416f7eb8267825c43c65390349746e7ce48f",
+    ),
+    "a5": (
+        _pin_text("a, b", ["r1 = a^2", "r2 = b^3", "r3 = a b a b a b a b a b"]),
+        (18, 228, 62, 51, 9),
+        "b72684a697d21a3e116d337f5eac1a2037b70cf98224fa1803f9c489b760cdee",
+    ),
+    "z64": (
+        _pin_text("a", ["r1 = a^64"]),
+        (4, 1553, 64, 63, 33),
+        "6e9003d0fbc36e1483b5a547a798982d17e4c090ebb5f982956631457880bdeb",
+    ),
+    "d40": (
+        _pin_text("a, b", ["r1 = a^40", "r2 = b^2", "r3 = a b a b"]),
+        (8, 1640, 138, 137, 21),
+        "4f48d43b8a9156c2258b0b2c9f80b49c47a9c62be0867163e2de7e5d7592acb5",
+    ),
+    "trefoil": (
+        _pin_text("x, y", ["r = x^3 y^-2"], "syllable"),
+        (6, 21, 22, 21, 7),
+        "5bd684a448ebaebbf09cdf22313bcadd9533a6cdf561bced7a87aaf08db0de60",
+    ),
+    "torus34": (
+        _pin_text("x, y", ["r = x^3 y^-4"], "syllable"),
+        (6, 26, 41, 40, 9),
+        "426dcaec35bf71de6d81e709114fa42d093416922bccf1fd46bec679b2e1c9f2",
+    ),
+    "z2": (
+        _pin_text("x, y", ["r = x y x^-1 y^-1"]),
+        (8, 12, 12, 9, 5),
+        "a81cf9ad4b6214ab2e294f9785726063f5dda6dbbfbbf5a8926f50cd5f886a6d",
+    ),
+    "z3": (
+        _pin_text(
+            "x, y, z",
+            [
+                "r1 = x y x^-1 y^-1",
+                "r2 = x z x^-1 z^-1",
+                "r3 = y z y^-1 z^-1",
+            ],
+        ),
+        (18, 48, 44, 35, 5),
+        "53b6cd1d71edbf8fcb1f7fc6480db3f9e55a02276a31fe43eec46e58a7345ed7",
+    ),
+}
+
+
+def completion_digest(report):
+    h = hashlib.sha256()
+    for r in report.final_system.rules_by_id():
+        h.update(
+            f"{render_monoid(r.lhs)} -> {render_monoid(r.rhs)} : "
+            f"{render_ysequence(r.log)}\n".encode()
+        )
+    h.update(b"--\n")
+    for s in report.identities:
+        h.update(render_ysequence(s).encode() + b"\n")
+    return h.hexdigest()
+
+
+def completion_counts(report):
+    return (
+        len(report.final_system.rules),
+        len(report.identities),
+        report.rules_formed,
+        report.rules_removed,
+        report.passes,
+    )
+
+
+@pytest.fixture(scope="module")
+def s5_pipeline():
+    return identities_pipeline(parse_presentation(S5_TEXT))
+
+
+class TestPinnedCompletions:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_corpus(self, name):
+        text, counts, digest = PINNED[name]
+        report = complete_presentation(parse_presentation(text))
+        assert report.final_system.complete
+        assert completion_counts(report) == counts
+        assert completion_digest(report) == digest
+
+    def test_s5_completion(self, s5_pipeline):
+        report = s5_pipeline.report
+        assert completion_counts(report) == (36, 2245, 563, 535, 7)
+        assert completion_digest(report) == (
+            "14ac4f5b58c09114b243020ac385b8a20a7f149e027afdead90eca90ab2ea3b0"
+        )
+
+    def test_s5_pipeline(self, s5_pipeline):
+        assert len(s5_pipeline.graph) == 120
+        assert len(s5_pipeline.kept) == 284

@@ -22,6 +22,7 @@ from logrewrite.ysequences import (
     RelatorRef,
     YSequence,
     YTerm,
+    _sandwich_once,
     _strip_conjugator,
     act,
     boundary,
@@ -220,6 +221,81 @@ class TestStripConjugator:
     @given(strippable_terms(), st.booleans())
     def test_matches_reference(self, t, use_root):
         assert _strip_conjugator(t, use_root) == strip_reference(t, use_root)
+
+
+def sandwich_reference(terms, use_root):
+    """Reference sandwich search: test every pair, lowest i then lowest
+    j, and collapse the first inverse pair found."""
+    for i in range(len(terms)):
+        ti = terms[i]
+        for j in range(i + 1, len(terms)):
+            tj = terms[j]
+            if (
+                ti.relator == tj.relator
+                and ti.sign == -tj.sign
+                and ti.conjugator == tj.conjugator
+            ):
+                shift = inverse(ti.boundary())
+                middle = [
+                    _strip_conjugator(
+                        YTerm(t.relator, t.sign, free_multiply(t.conjugator, shift)),
+                        use_root,
+                    )
+                    for t in terms[i + 1 : j]
+                ]
+                return terms[:i] + tuple(middle) + terms[j + 1 :]
+    return None
+
+
+# an equal relator built apart from R1: the search must match on value
+R1_AGAIN = RelatorRef.make("r1", parse_group(AB, "a^4"))
+
+
+@st.composite
+def sandwich_sequences(draw):
+    """Sequences drawn from a pool of one to three terms and their
+    inverses, so repeated and mutually inverse terms are common."""
+    pool = draw(
+        st.lists(
+            st.builds(
+                YTerm,
+                st.sampled_from([R1, R1_AGAIN, R3, R4]),
+                st.sampled_from([POS, NEG]),
+                group_words(max_size=3),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    picks = draw(
+        st.lists(
+            st.tuples(st.sampled_from(pool), st.booleans()), max_size=12
+        )
+    )
+    return tuple(t.inverted() if flip else t for t, flip in picks)
+
+
+class TestSandwich:
+    @given(sandwich_sequences(), st.booleans())
+    def test_same_first_pair_as_the_pair_scan(self, terms, use_root):
+        assert _sandwich_once(terms, use_root) == sandwich_reference(
+            terms, use_root
+        )
+
+    @given(sandwich_sequences())
+    def test_closure_same_as_with_the_pair_scan(self, terms):
+        want = tuple(_strip_conjugator(t, True) for t in terms)
+        while True:
+            want = cancel_adjacent(want)
+            reduced = sandwich_reference(want, True)
+            if reduced is None:
+                break
+            want = reduced
+        assert peiffer_closure(terms) == want
+
+    def test_equal_relators_hash_alike(self):
+        assert R1_AGAIN is not R1 and R1_AGAIN == R1
+        assert hash(R1_AGAIN) == hash(R1)
 
 
 def test_no_yterm_outlives_its_results():
