@@ -33,6 +33,17 @@ from .words import WordError, mu, parse_group, render_group, render_monoid
 from .ysequences import render_ysequence, simplify
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: a limit, which must be a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="logrewrite",
@@ -57,8 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=("text", "json"), default="text", dest="fmt"
         )
-        p.add_argument("--max-rules", type=int, default=Limits.max_rules)
-        p.add_argument("--max-passes", type=int, default=Limits.max_passes)
+        p.add_argument("--max-rules", type=_positive_int, default=Limits.max_rules)
+        p.add_argument(
+            "--max-passes", type=_positive_int, default=Limits.max_passes
+        )
 
     p_complete = sub.add_parser(
         "complete", help="complete the presentation into a logged system"
@@ -75,11 +88,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_id)
     p_id.add_argument("--keep-all", action="store_true",
                       help="show discarded records with their statuses")
-    p_id.add_argument("--vertex-cap", type=int, default=10_000)
+    p_id.add_argument("--vertex-cap", type=_positive_int, default=10_000)
 
     p_kone = sub.add_parser("kone", help="k1 on every edge of the Cayley graph")
     common(p_kone)
-    p_kone.add_argument("--vertex-cap", type=int, default=10_000)
+    p_kone.add_argument("--vertex-cap", type=_positive_int, default=10_000)
 
     # identities_pipeline normalises its logs itself, so it takes no flag
     for p in (p_complete, p_reduce, p_kone):

@@ -141,7 +141,7 @@ def build_cayley_graph(
         next_frontier = []
         for g in frontier:
             for gen in range(len(alphabet)):
-                target, _ = _reduce(_times_gen(g, gen), sys)
+                target = _reduce(_times_gen(g, gen), sys)
                 if target not in index:
                     if len(vertices) >= vertex_cap:
                         raise InfiniteGroupError(
@@ -361,7 +361,7 @@ def identity_for(
 ) -> YSequence:
     """A single separation identity for a user-supplied group element,
     without building the (possibly infinite) Cayley graph."""
-    n, _ = _reduce(mu(g), sys)
+    n = _reduce(mu(g), sys)
     sigma = mu_inverse(n)
     word = mu(free_multiply(free_multiply(sigma, rho.word), inverse(sigma)))
     reduced, log = logged_reduce(word, sys)
@@ -376,7 +376,7 @@ def k1_for(
     gen_name: str,
 ) -> YSequence:
     """The sampled edge value k1[g, x] for a user-supplied group element."""
-    n, _ = _reduce(mu(g), sys)
+    n = _reduce(mu(g), sys)
     gen = sys.presentation.alphabet.index(gen_name)
-    target, _ = _reduce(_times_gen(n, gen), sys)
+    target = _reduce(_times_gen(n, gen), sys)
     return compute_k1(sys, n, gen, target)

@@ -1,21 +1,14 @@
-"""Group presentations and the initial logged rewrite system."""
+"""Group presentations: the file format and its parser."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
 from .orderings import OrderSpec, parse_letter_order
-from .words import (
-    Alphabet,
-    GroupWord,
-    MonoidWord,
-    WordError,
-    flip,
-    mu,
-    parse_group,
-)
-from .ysequences import POS, RelatorRef, YSequence, YTerm
+from .words import Alphabet, WordError, parse_group
+from .ysequences import RelatorRef
 
 
 class ParseError(WordError):
@@ -57,8 +50,9 @@ def parse_presentation(
           r1 = a^4
           r3 = a b a b^-1
 
-    ``#`` starts a comment; relator words are whitespace separated with
-    ``^k`` powers and are freely reduced on ingest.
+    ``#`` starts a comment; a relator label is letters, digits and
+    underscores; relator words are whitespace separated with ``^k``
+    powers and are freely reduced on ingest.
     """
     alphabet: Optional[Alphabet] = None
     order_kind = "shortlex"
@@ -103,6 +97,8 @@ def parse_presentation(
         label = label.strip()
         if not eq or not label:
             raise ParseError(f"expected 'label = word', got {line!r}", lineno)
+        if not re.fullmatch(r"\w+", label):
+            raise ParseError(f"relator label {label!r} is not a word", lineno)
         if not word_text.strip():
             raise ParseError(f"relator {label!r} is empty", lineno)
         relator_items.append((label, word_text.strip(), lineno))
@@ -139,18 +135,3 @@ def parse_presentation(
             raise ParseError(str(exc), letters_line) from None
     order = OrderSpec(order_kind, alphabet, letter_order)
     return Presentation(alphabet, tuple(relators), order)
-
-
-def initial_logged_rules(
-    p: Presentation,
-) -> list[tuple[MonoidWord, YSequence, MonoidWord]]:
-    """The initial logged rules: one per relator plus one cancellation rule
-    per signed letter (2|X| of them)."""
-    empty = MonoidWord(p.alphabet)
-    rules: list[tuple[MonoidWord, YSequence, MonoidWord]] = []
-    for rho in p.relators:
-        log = (YTerm(rho, POS, GroupWord(p.alphabet)),)
-        rules.append((mu(rho.word), log, empty))
-    for c in p.alphabet.letters():
-        rules.append((MonoidWord(p.alphabet, (c, flip(c))), (), empty))
-    return rules

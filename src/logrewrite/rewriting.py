@@ -15,18 +15,23 @@ from operator import attrgetter
 from typing import Callable, Iterable, Optional, Union
 
 from .orderings import GT, LT
-from .presentation import Presentation, initial_logged_rules
+from .presentation import Presentation
 from .words import (
+    GroupWord,
     MonoidWord,
     WordError,
     _group_word,
     _monoid_word,
+    flip,
     free_multiply,
     inverse,
+    mu,
     mu_inverse,
 )
 from .ysequences import (
+    POS,
     YSequence,
+    YTerm,
     act,
     boundary,
     invert,
@@ -68,22 +73,19 @@ class LoggedRule:
 
 
 class LoggedRewriteSystem:
-    """Logged rules, kept in id order: the constructor sorts them once,
-    new rules (with larger ids) are appended, and interreduction replaces
-    or deletes a rule at its own index.  Call ``_rebuild_index`` after a
-    change; it rebuilds the first-letter buckets, the id lookup and
-    ``_maxlhs``, the length of the longest lhs, which bounds how far
-    the bucket scan of ``_reduce`` rescans after a rewrite, and drops
-    the index automaton, which the next reduction builds again from the
-    new rules (``automaton``)."""
+    """Logged rules in id order, never changed once built: completion and
+    interreduction build a new system for each change.  The constructor
+    sorts the rules and indexes them: first-letter buckets, the id
+    lookup and ``_maxlhs``, the length of the longest lhs, which bounds
+    how far the bucket scan of ``_reduce`` rescans after a rewrite.  The
+    index automaton is built on the first reduction that asks for it
+    (``automaton``).  ``complete`` is set by completion once every
+    overlap of the rules resolves."""
 
     def __init__(self, presentation: Presentation, rules: Iterable[LoggedRule]):
         self.presentation = presentation
         self.rules = sorted(rules, key=attrgetter("id"))
         self.complete = False
-        self._rebuild_index()
-
-    def _rebuild_index(self) -> None:
         # rules are in id order, so every first-letter bucket is too
         self._by_id: dict[int, LoggedRule] = {}
         self._by_first: dict[int, list[LoggedRule]] = {}
@@ -117,11 +119,11 @@ class LoggedRewriteSystem:
         reading letter ``c`` in state ``s`` goes to ``delta[s + c]``;
         ``out[s]`` is the rule whose lhs ends there, else None.  Every
         row is full, the rows of states that end an lhs included.  Built
-        on the first call after ``_rebuild_index``, which also makes the
-        subword test: an lhs whose insertion passes or stops at a state
-        that ends an earlier lhs, or stops at a state with a child, has a
-        prefix among the others or is one; a fail link to a state that
-        ends an lhs finds an lhs ending inside another.
+        on the first call, which also makes the subword test: an lhs
+        whose insertion passes or stops at a state that ends an earlier
+        lhs, or stops at a state with a child, has a prefix among the
+        others or is one; a fail link to a state that ends an lhs finds
+        an lhs ending inside another.
         """
         if self._dfa is None:
             self._dfa = _index_automaton(
@@ -168,10 +170,14 @@ def _index_automaton(
 
 
 def initial_logged_system(p: Presentation) -> LoggedRewriteSystem:
-    rules = [
-        LoggedRule(lhs, log, rhs, id=i)
-        for i, (lhs, log, rhs) in enumerate(initial_logged_rules(p), start=1)
-    ]
+    """The initial logged system: one rule per relator, logged by the
+    relator itself, then one cancellation rule per signed letter (2|X|
+    of them), with ids from 1 in that order."""
+    al = p.alphabet
+    pairs = [(mu(rho.word), (YTerm(rho, POS, GroupWord(al)),)) for rho in p.relators]
+    pairs += [(MonoidWord(al, (c, flip(c))), ()) for c in al.letters()]
+    empty = MonoidWord(al)
+    rules = [LoggedRule(l, log, empty, i) for i, (l, log) in enumerate(pairs, 1)]
     return LoggedRewriteSystem(p, rules)
 
 
@@ -192,7 +198,7 @@ def logged_reduce(
     ``_reduce``, which makes the same rewrites in the same scan.
     """
     log: list = []
-    nf, _ = _reduce(w, sys, exclude=exclude, log=log)
+    nf = _reduce(w, sys, exclude=exclude, log=log)
     return nf, tuple(log)
 
 
@@ -201,11 +207,10 @@ def _reduce(
     sys: LoggedRewriteSystem,
     exclude: int = 0,
     log: Optional[list] = None,
-) -> tuple[MonoidWord, int]:
-    """The scan of ``logged_reduce``: the normal form of ``w`` and the
-    number of terms its log has, ``sum(len(rule.log))`` over the rewrites.
-    The log's terms are appended to ``log`` when it is a list; when it is
-    None, the inverse prefix is not kept and no log is acted on.
+) -> MonoidWord:
+    """The scan of ``logged_reduce``: the normal form of ``w``.  The log's
+    terms are appended to ``log`` when it is a list; when it is None, the
+    inverse prefix is not kept and no log is acted on.
 
     Only the search for the next match depends on the system.  When no
     lhs is a subword of another, at most one lhs ends at each position:
@@ -248,7 +253,6 @@ def _reduce(
     inv: list[int] = []
     undo: list[int] = []
     k = 0
-    terms = 0
     steps = 0
     pos = 0
     while True:
@@ -273,13 +277,12 @@ def _reduce(
             else:
                 rule = None
         if rule is None:
-            return _monoid_word(alphabet, word), terms
+            return _monoid_word(alphabet, word)
         steps += 1
         if steps > REDUCE_MAX_STEPS:
             raise BudgetError(
                 f"reduction budget exceeded on {_monoid_word(alphabet, word)!r}"
             )
-        terms += len(rule.log)
         if log is not None:
             while k < pos:
                 c = word[k]
@@ -312,10 +315,7 @@ def normal_form_fn(sys: LoggedRewriteSystem) -> Callable[[MonoidWord], MonoidWor
     if not sys.complete:
         raise WordError("normal forms require a complete system")
 
-    def nf(w: MonoidWord) -> MonoidWord:
-        return _reduce(w, sys)[0]
-
-    return nf
+    return lambda w: _reduce(w, sys)
 
 
 # -- overlaps and critical pairs ---------------------------------------------
@@ -410,6 +410,22 @@ class NewPair:
     z: MonoidWord
 
 
+def _descendants(
+    o: OverlapDescriptor, sys: LoggedRewriteSystem
+) -> tuple[MonoidWord, MonoidWord]:
+    """The two descendants of the overlap word: ``u r v`` by ``rule_b``
+    and ``r' v'`` by ``rule_a``."""
+    ra, rb = _rule(sys, o.rule_a), _rule(sys, o.rule_b)
+    return o.u.concat(rb.rhs).concat(o.v), ra.rhs.concat(o.vprime)
+
+
+def _joins(o: OverlapDescriptor, sys: LoggedRewriteSystem) -> bool:
+    """Whether the overlap resolves: both descendants have one normal
+    form.  No log is built."""
+    w, wprime = _descendants(o, sys)
+    return _reduce(w, sys) == _reduce(wprime, sys)
+
+
 def process_overlap(
     o: OverlapDescriptor, sys: LoggedRewriteSystem
 ) -> Union[Resolved, NewPair]:
@@ -419,28 +435,14 @@ def process_overlap(
     pair resolves) or as the certificate of the new critical-pair rule,
     satisfying ``z' = boundary(log) * z`` in F(X).
     """
-    ra = _rule(sys, o.rule_a)
-    rb = _rule(sys, o.rule_b)
-    z, d = logged_reduce(o.u.concat(rb.rhs).concat(o.v), sys)
-    zp, dp = logged_reduce(ra.rhs.concat(o.vprime), sys)
+    w, wprime = _descendants(o, sys)
+    z, d = logged_reduce(w, sys)
+    zp, dp = logged_reduce(wprime, sys)
+    ra, rb = _rule(sys, o.rule_a), _rule(sys, o.rule_b)
     log = invert(dp) + invert(ra.log) + act(rb.log, inverse(mu_inverse(o.u))) + d
     if z == zp:
         return Resolved(identity=log)
     return NewPair(zprime=zp, log=log, z=z)
-
-
-def _joined_terms(o: OverlapDescriptor, sys: LoggedRewriteSystem) -> Optional[int]:
-    """The number of terms of the identity ``process_overlap`` would
-    harvest from ``o``, or None when the pair does not resolve; no log is
-    built.  ``invert``, ``act`` and ``+`` keep lengths, so the identity
-    has ``len(dp) + len(ra.log) + len(rb.log) + len(d)`` terms."""
-    ra = _rule(sys, o.rule_a)
-    rb = _rule(sys, o.rule_b)
-    z, d = _reduce(o.u.concat(rb.rhs).concat(o.v), sys)
-    zp, dp = _reduce(ra.rhs.concat(o.vprime), sys)
-    if z != zp:
-        return None
-    return dp + len(ra.log) + len(rb.log) + d
 
 
 # -- completion --------------------------------------------------------------
@@ -453,13 +455,12 @@ MAX_PASSES, MAX_RULES, UNRESOLVED = "max_passes", "max_rules", "unresolved"
 class CompletionReport:
     """What a completion made and did.
 
-    ``identities`` holds the non-empty identity of every critical pair
-    that resolved, in the order completion met them.  Completion decides
-    each pair without a log and keeps, per pass, the rules the pass read
-    and its resolved overlaps; the list is built from them with
-    ``process_overlap`` on its first read, and later reads return the
-    same list.  The rules are immutable, so the list is the one a logged
-    completion would have harvested.
+    ``final_system`` is the last system built; ``stopped`` is None when
+    it is complete, else why completion stopped.  ``identities`` holds
+    the non-empty identity of every critical pair that resolved, in the
+    order completion met them.  Completion keeps each pass's system and
+    the overlaps that resolved there; the list is built from them with
+    ``process_overlap`` on its first read, and later reads return it.
     """
 
     final_system: LoggedRewriteSystem
@@ -467,8 +468,8 @@ class CompletionReport:
     rules_removed: int = 0
     passes: int = 0
     stopped: Optional[str] = None  # None when complete
-    # per pass: its rules and the overlaps that resolved to a non-empty identity
-    _harvest: list[tuple[list[LoggedRule], list[OverlapDescriptor]]] = field(
+    # per pass: its system and the overlaps that resolved
+    _harvest: list[tuple[LoggedRewriteSystem, list[OverlapDescriptor]]] = field(
         default_factory=list, init=False, repr=False
     )
     _identities: Optional[list[YSequence]] = field(
@@ -478,44 +479,41 @@ class CompletionReport:
     @property
     def identities(self) -> list[YSequence]:
         if self._identities is None:
-            p = self.final_system.presentation
             out: list[YSequence] = []
-            for rules, overlaps in self._harvest:
-                sys = LoggedRewriteSystem(p, rules)
-                out.extend(process_overlap(o, sys).identity for o in overlaps)
+            for sys, overlaps in self._harvest:
+                for o in overlaps:
+                    identity = process_overlap(o, sys).identity
+                    if identity:
+                        out.append(identity)
             self._identities, self._harvest = out, []
         return self._identities
 
 
-def logged_knuth_bendix(
-    init: LoggedRewriteSystem,
-    limits: Limits = Limits(),
-    *,
-    raw_logs: bool = False,
+def complete_presentation(
+    p: Presentation, limits: Limits = Limits(), *, raw_logs: bool = False
 ) -> CompletionReport:
-    """Complete the system, harvesting an identity from every resolved
-    critical pair.
+    """Complete the initial logged system of ``p``, harvesting an identity
+    from every resolved critical pair.
 
     Each pass resolves the overlaps of its frontier in the order of a
     total sort key, adds the surviving critical-pair rules oriented by
-    the system's ordering, then interreduces (redundant rules removed,
-    right-hand sides normalised with log composition).  Pass 1 lists
-    every overlap; a later pass only those touching a rule the pass
-    before added.  These are exactly the overlaps not resolved yet: ids
-    are never reused and a rule keeps its lhs for life, so an overlap of
-    two older rules was resolved in an earlier pass.  On success the
-    final system is verified against every overlap and marked complete;
-    otherwise ``stopped`` says why not.
+    the presentation's ordering, then interreduces (redundant rules
+    removed, right-hand sides normalised with log composition).  Pass 1
+    lists every overlap; a later pass only those touching a rule the
+    pass before added.  These are exactly the overlaps not resolved yet:
+    ids are never reused and a rule keeps its lhs for life, so an overlap
+    of two older rules was resolved in an earlier pass.  Every change
+    builds a new system.  On success the final system is verified
+    against every overlap and marked complete; otherwise ``stopped``
+    says why not.
 
     A log is built only for a pair that makes a new rule, whose log is
-    the rule's certificate.  Whether a pair resolves, and whether its
-    identity is empty, is decided by log-free reductions; the
-    certification pass and the removal test of interreduction reduce
-    log-free too.  ``report.identities`` is built on its first read.
+    the rule's certificate; whether a pair resolves is decided by its
+    two normal forms alone.
     """
-    sys = LoggedRewriteSystem(init.presentation, init.rules)
+    sys = initial_logged_system(p)
     report = CompletionReport(final_system=sys)
-    next_id = max(sys._by_id, default=0) + 1
+    next_id = len(sys.rules) + 1
     frontier: Optional[set[int]] = None  # None lists every overlap
 
     def pending_key(o: OverlapDescriptor) -> tuple:
@@ -534,19 +532,17 @@ def logged_knuth_bendix(
     while True:
         if report.passes >= limits.max_passes:
             report.stopped = MAX_PASSES
-            return report
+            break
         report.passes += 1
         pending = sorted(find_overlaps(sys, frontier), key=pending_key)
         new_rules: list[LoggedRule] = []
-        harvested: list[OverlapDescriptor] = []
+        joined: list[OverlapDescriptor] = []
         for o in pending:
-            terms = _joined_terms(o, sys)
-            if terms is not None:
-                if terms:
-                    harvested.append(o)
+            if _joins(o, sys):
+                joined.append(o)
                 continue
             result = process_overlap(o, sys)
-            cmp = sys.presentation.order.compare(result.z, result.zprime)
+            cmp = p.order.compare(result.z, result.zprime)
             if cmp == LT:
                 lhs, log, rhs = result.zprime, result.log, result.z
             elif cmp == GT:
@@ -557,67 +553,59 @@ def logged_knuth_bendix(
                 log = peiffer_closure(log)
             new_rules.append(LoggedRule(lhs, log, rhs, id=next_id))
             next_id += 1
-        if harvested:
-            report._harvest.append((list(sys.rules), harvested))
-        sys.rules.extend(new_rules)
-        sys._rebuild_index()
+        report._harvest.append((sys, joined))
+        sys = LoggedRewriteSystem(p, sys.rules + new_rules)
         report.rules_formed += len(new_rules)
         if len(sys.rules) > limits.max_rules:
             report.stopped = MAX_RULES
-            return report
-        removed = _interreduce(sys, raw_logs=raw_logs)
-        report.rules_removed += removed
-        if not new_rules and removed == 0:
             break
-        frontier = {r.id for r in new_rules}
-
-    # certification pass: every overlap of the final system must resolve
-    for o in find_overlaps(sys):
-        if _joined_terms(o, sys) is None:  # pragma: no cover - loop converged
+        sys, removed = _interreduce(sys, raw_logs=raw_logs)
+        report.rules_removed += removed
+        if new_rules or removed:
+            frontier = {r.id for r in new_rules}
+            continue
+        # certification pass: every overlap of the final system must resolve
+        if all(_joins(o, sys) for o in find_overlaps(sys)):
+            sys.complete = True
+        else:  # pragma: no cover - the loop converged
             report.stopped = UNRESOLVED
-            return report
-    sys.complete = True
+        break
+    report.final_system = sys
     return report
 
 
-def _interreduce(sys: LoggedRewriteSystem, *, raw_logs: bool) -> int:
-    """Remove joinable redundant rules and normalise right-hand sides.
+def _interreduce(
+    sys: LoggedRewriteSystem, *, raw_logs: bool
+) -> tuple[LoggedRewriteSystem, int]:
+    """Remove joinable redundant rules and normalise right-hand sides;
+    returns the last system built and the number of rules removed.
 
     Each rule is tested against the others by reducing with
-    ``exclude=rule.id`` over the live rule table; no system is rebuilt.
+    ``exclude=rule.id``; a removal or a new rhs builds a new system, and
+    the scan starts again from its newest rule.
     """
     removed = 0
-    changed = True
-    while changed:
-        changed = False
+    while True:
+        rules = sys.rules
         # scan newest rules first so that of two equivalent rules the
         # earlier derivation is the one kept
-        for i in range(len(sys.rules) - 1, -1, -1):
-            rule = sys.rules[i]
-            z1, _ = _reduce(rule.lhs, sys, exclude=rule.id)
+        for i in range(len(rules) - 1, -1, -1):
+            rule = rules[i]
+            z1 = _reduce(rule.lhs, sys, exclude=rule.id)
             if z1 != rule.lhs:
-                z2, _ = _reduce(rule.rhs, sys, exclude=rule.id)
-                if z1 == z2:
-                    del sys.rules[i]
-                    sys._rebuild_index()
-                    removed += 1
-                    changed = True
-                    break
-                continue  # unresolved pair; leave for the completion loop
-            z2, d2 = logged_reduce(rule.rhs, sys, exclude=rule.id)
-            if z2 != rule.rhs:
+                if z1 != _reduce(rule.rhs, sys, exclude=rule.id):
+                    continue  # unresolved pair; leave for the completion loop
+                kept = []
+                removed += 1
+            else:
+                z2, d2 = logged_reduce(rule.rhs, sys, exclude=rule.id)
+                if z2 == rule.rhs:
+                    continue
                 log = rule.log + d2
                 if not raw_logs:
                     log = peiffer_closure(log)
-                sys.rules[i] = replace(rule, log=log, rhs=z2)
-                sys._rebuild_index()
-                changed = True
-                break
-    return removed
-
-
-def complete_presentation(
-    p: Presentation, limits: Limits = Limits(), *, raw_logs: bool = False
-) -> CompletionReport:
-    """Convenience: build the initial logged system and complete it."""
-    return logged_knuth_bendix(initial_logged_system(p), limits, raw_logs=raw_logs)
+                kept = [replace(rule, log=log, rhs=z2)]
+            sys = LoggedRewriteSystem(sys.presentation, rules[:i] + kept + rules[i + 1 :])
+            break
+        else:
+            return sys, removed

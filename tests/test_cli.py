@@ -196,6 +196,26 @@ class TestPlumbing:
             main(["complete"])  # missing file argument
         assert exc.value.code == 2
 
+    # a limit must be positive: 0 would stop before completion starts and
+    # a 0 vertex cap would call a finite group infinite
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("complete", "--max-rules"),
+            ("complete", "--max-passes"),
+            ("kone", "--vertex-cap"),
+            ("identities", "--vertex-cap"),
+        ],
+    )
+    def test_limit_not_positive(self, capsys, q8_file, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, q8_file, flag, value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flag}: not a positive integer: '{value}'" in err
+
     def test_unknown_flag(self, capsys, q8_file):
         with pytest.raises(SystemExit) as exc:
             main(["complete", q8_file, "--frobnicate"])

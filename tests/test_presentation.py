@@ -1,10 +1,7 @@
 import pytest
 
-from logrewrite.presentation import (
-    ParseError,
-    initial_logged_rules,
-    parse_presentation,
-)
+from logrewrite.presentation import ParseError, parse_presentation
+from logrewrite.rewriting import initial_logged_system
 from logrewrite.words import (
     WordError,
     free_multiply,
@@ -40,6 +37,13 @@ class TestParsing:
         text = "# header\ngenerators: a  # trailing\n\nrelators:\n  r = a^2\n"
         p = parse_presentation(text)
         assert len(p.relators) == 1
+
+    def test_word_labels(self):
+        labels = ["r", "r1", "r2", "r3", "r4", "r5", "r6", "rho_2"]
+        text = "generators: a\nrelators:\n" + "".join(
+            f"  {label} = a^{i}\n" for i, label in enumerate(labels, start=1)
+        )
+        assert [r.label for r in parse_presentation(text).relators] == labels
 
     def test_free_presentation(self):
         p = parse_presentation("generators: a, b\nrelators:\n")
@@ -104,6 +108,15 @@ class TestParseErrors:
                 "generators: a, b\nletters:   # none\nrelators:\n  r = a^2\n",
                 "line 2: empty 'letters:' declaration",
             ),
+            # a label that a printed Y-sequence term could not hold
+            (
+                "generators: a\nrelators:\n  r^1 = a^2\n",
+                "line 3: relator label 'r^1' is not a word",
+            ),
+            (
+                "generators: a\nrelators:\n  r1 = a^2\n  r) x = a^3\n",
+                "line 4: relator label 'r) x' is not a word",
+            ),
         ],
     )
     def test_header_messages(self, text, message):
@@ -131,27 +144,27 @@ class TestInitialRules:
     @pytest.mark.parametrize("text", [Q8_TEXT, ABELIAN_TEXT, TREFOIL_TEXT])
     def test_counts_and_invariant(self, text):
         p = parse_presentation(text)
-        rules = initial_logged_rules(p)
+        rules = initial_logged_system(p).rules
         assert len(rules) == len(p.relators) + 2 * len(p.alphabet)
-        for lhs, log, rhs in rules:
+        for r in rules:
             # l = (boundary of the log) . r in the free group
-            assert mu_inverse(lhs) == free_multiply(
-                boundary(log, p.alphabet), mu_inverse(rhs)
+            assert mu_inverse(r.lhs) == free_multiply(
+                boundary(r.log, p.alphabet), mu_inverse(r.rhs)
             )
 
     def test_q8_relator_rule_logs(self):
         p = parse_presentation(Q8_TEXT)
-        rules = initial_logged_rules(p)
+        rules = initial_logged_system(p).rules
         from logrewrite.ysequences import render_ysequence
 
-        assert [render_ysequence(log) for _, log, _ in rules[:4]] == [
+        assert [render_ysequence(r.log) for r in rules[:4]] == [
             "(r1^+)",
             "(r2^+)",
             "(r3^+)",
             "(r4^+)",
         ]
-        assert all(not log for _, log, _ in rules[4:])
+        assert all(not r.log for r in rules[4:])
         # the relator images, then one cancellation pair per signed letter
-        assert " ".join(render_monoid(lhs) for lhs, _, _ in rules) == (
+        assert " ".join(render_monoid(r.lhs) for r in rules) == (
             "aaaa bbbb abaB aabb aA Aa bB Bb"
         )
