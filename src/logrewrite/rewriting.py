@@ -75,90 +75,70 @@ class LoggedRule:
 class LoggedRewriteSystem:
     """Logged rules in id order, never changed once built: completion and
     interreduction build a new system for each change.  The constructor
-    sorts the rules and indexes them: first-letter buckets, the id
-    lookup and ``_maxlhs``, the length of the longest lhs, which bounds
-    how far the bucket scan of ``_reduce`` rescans after a rewrite.  The
-    index automaton is built on the first reduction that asks for it
-    (``automaton``).  ``complete`` is set by completion once every
-    overlap of the rules resolves."""
+    sorts the rules and indexes them by id; the index automaton that
+    ``_reduce`` scans on is built on the first reduction (``automaton``).
+    ``complete`` is set by completion once every overlap of the rules
+    resolves."""
 
     def __init__(self, presentation: Presentation, rules: Iterable[LoggedRule]):
         self.presentation = presentation
         self.rules = sorted(rules, key=attrgetter("id"))
         self.complete = False
-        # rules are in id order, so every first-letter bucket is too
-        self._by_id: dict[int, LoggedRule] = {}
-        self._by_first: dict[int, list[LoggedRule]] = {}
-        self._maxlhs = 0
-        for rule in self.rules:
-            self._by_id[rule.id] = rule
-            self._by_first.setdefault(rule.lhs.letters[0], []).append(rule)
-            self._maxlhs = max(self._maxlhs, len(rule.lhs.letters))
-        # None: not built yet; False: some lhs is a subword of another
-        self._dfa: Union[None, bool, tuple[list[int], list]] = None
+        self._by_id = {rule.id: rule for rule in self.rules}
+        self._dfa: Optional[tuple[list[int], list, int]] = None
 
     def rules_by_id(self) -> list[LoggedRule]:
         return list(self.rules)
 
-    def match_at(
-        self, word: tuple, pos: int, *, exclude: int = 0
-    ) -> Optional[LoggedRule]:
-        """Lowest-id rule whose lhs occurs at ``pos``, skipping the rule
-        with id ``exclude`` (ids start at 1, so 0 skips none)."""
-        for rule in self._by_first.get(word[pos], ()):
-            lhs = rule.lhs.letters
-            if word[pos : pos + len(lhs)] == lhs and rule.id != exclude:
-                return rule
-        return None
-
-    def automaton(self) -> Optional[tuple[list[int], list]]:
-        """The Aho-Corasick automaton of the lhs set, ``(delta, out)``, or
-        None when one lhs is a subword of another (two equal lhs count).
+    def automaton(self) -> tuple[list[int], list, int]:
+        """The Aho-Corasick automaton of the lhs set, ``(delta, out,
+        reach)``, built on the first call.
 
         A state is the offset of its row in ``delta``, 0 the start, so
         reading letter ``c`` in state ``s`` goes to ``delta[s + c]``;
-        ``out[s]`` is the rule whose lhs ends there, else None.  Every
-        row is full, the rows of states that end an lhs included.  Built
-        on the first call, which also makes the subword test: an lhs
-        whose insertion passes or stops at a state that ends an earlier
-        lhs, or stops at a state with a child, has a prefix among the
-        others or is one; a fail link to a state that ends an lhs finds
-        an lhs ending inside another.
+        every row is full.  ``out[s]`` is the tuple of the rules whose lhs
+        is a suffix of the word that leads to ``s``, longest first, then
+        lowest id first; the empty tuple when there are none.  ``reach``
+        is 0 when no lhs is a subword of another (two equal lhs count),
+        else the length of the longest lhs less one: a match that starts
+        at ``i`` has read its last letter by ``i + reach``.  The subword
+        test: a state that ends an lhs and has a child or ends two, or a
+        state whose fail link leads to a state that ends an lhs.
         """
         if self._dfa is None:
             self._dfa = _index_automaton(
                 self.rules, 2 * len(self.presentation.alphabet)
-            ) or False
-        return self._dfa or None
+            )
+        return self._dfa
 
 
 def _index_automaton(
     rules: list[LoggedRule], width: int
-) -> Optional[tuple[list[int], list]]:
+) -> tuple[list[int], list, int]:
     delta = [-1] * width  # -1: no edge in the trie (yet)
-    out: list = [None] * width
-    for rule in rules:
+    out: list = [()] * width
+    for rule in rules:  # in id order, so each state's own rules are too
         s = 0
         for c in rule.lhs.letters:
-            if out[s] is not None:
-                return None
             t = delta[s + c]
             if t < 0:
                 t = delta[s + c] = len(delta)
                 delta.extend([-1] * width)
-                out.extend([None] * width)
+                out.extend([()] * width)
             s = t
-        if out[s] is not None or max(delta[s : s + width]) >= 0:
-            return None
-        out[s] = rule
+        out[s] += (rule,)
+    nested = False
     order = [t for t in delta[:width] if t > 0]
     fail = dict.fromkeys(order, 0)
     for c in range(width):
         delta[c] = max(delta[c], 0)
-    for s in order:  # breadth first, so fail[s] has its full row
+    for s in order:  # breadth first, so fail[s] has its full row and out
         f = fail[s]
-        if out[f] is not None:
-            return None
+        own = out[s]
+        # an lhs that is a prefix of another, equals one, or ends inside one
+        if own and (len(own) > 1 or max(delta[s : s + width]) >= 0) or out[f]:
+            nested = True
+        out[s] = own + out[f]
         for c in range(width):
             t = delta[s + c]
             if t < 0:
@@ -166,7 +146,8 @@ def _index_automaton(
             else:
                 fail[t] = delta[f + c]
                 order.append(t)
-    return delta, out
+    reach = max(len(rule.lhs.letters) for rule in rules) - 1 if nested else 0
+    return delta, out, reach
 
 
 def initial_logged_system(p: Presentation) -> LoggedRewriteSystem:
@@ -191,7 +172,9 @@ def logged_reduce(
     without it (interreduction tests a rule against the others this
     way); the default 0 skips none.  A reduction that makes more than
     ``REDUCE_MAX_STEPS`` rewrites, or whose word grows longer than
-    ``REDUCE_MAX_WORD_LEN`` letters, raises ``BudgetError``.
+    ``REDUCE_MAX_WORD_LEN`` letters, raises ``BudgetError``; the length
+    is tested after each rewrite that lengthens the word, so a long
+    word that only shrinks reduces.
 
     This builds the log, acting on every applied rule's log by the
     inverse prefix.  Callers that throw the log away use the log-free
@@ -212,28 +195,28 @@ def _reduce(
     terms are appended to ``log`` when it is a list; when it is None, the
     inverse prefix is not kept and no log is acted on.
 
-    Only the search for the next match depends on the system.  When no
-    lhs is a subword of another, at most one lhs ends at each position:
-    two that end at one position are suffixes of one another.  So the
-    first match to end is also the leftmost-starting one (a match that
-    starts earlier and ends later would contain it), and it is the only
-    match at its start (one that starts there too is a prefix of it or
-    has it as a prefix).  The scan then reads the word left to right on
-    the system's automaton, keeping ``states[j]``, the state after
-    ``word[:j]``.  A rewrite at ``pos`` leaves ``word[:pos]`` alone, and
-    no match ended inside it, so the stack is cut back to ``pos + 1``
-    entries and reading resumes at ``pos``: the letters before ``pos``
-    are not read again.  Skipping the output of the excluded rule and
-    reading on is exact under the same condition: the matches of the
-    other rules are those of the system without it, and the fail links,
-    built over the whole lhs set, still find the next one to end.
+    The scan reads the word left to right on the system's automaton
+    (``LoggedRewriteSystem.automaton``), keeping ``states[j]``, the
+    state after ``word[:j]``.  After ``word[j]`` is read into state
+    ``s``, the rules of ``out[s]`` are those whose lhs ends at ``j``,
+    the earliest-starting first and the lowest id first at one start;
+    the first of them other than ``exclude`` is the candidate ending at
+    ``j``.  The scan keeps the least ``(start, id)`` of the candidates
+    and stops once it has read ``word[start + reach]``: an lhs is at
+    most ``reach + 1`` letters long, so a match that starts earlier, or
+    at the same start with a lower id, has ended by then.  When no lhs
+    is a subword of another, ``reach`` is 0 and the scan stops at the
+    first candidate: a match that starts earlier and ends later would
+    contain it, and one at the same start is a prefix of it or has it as
+    a prefix.
 
-    Otherwise the bucket scan tests each position with ``match_at``, and
-    after a rewrite at ``pos`` resumes near ``pos``: no match started
-    before ``pos``, and a match starting before ``pos - _maxlhs + 1``
-    would lie inside the unchanged ``word[:pos]`` (``_maxlhs`` may count
-    the excluded rule; a longer window only rescans more).  Both scans
-    make the same rewrites as a full rescan would.
+    A rewrite at ``pos`` leaves ``word[:pos]`` alone, and no match lies
+    inside it, since none starts before ``pos``; so the stack is cut
+    back to ``pos + 1`` entries and reading resumes at ``pos``: the
+    letters before ``pos`` are not read again.  Skipping the excluded
+    rule is exact, since ``out[s]`` lists every lhs that ends at ``j``:
+    the candidates left are those of the system without it.  So the
+    scan makes the rewrites a full rescan would.
 
     The inverse prefix is kept at a cursor ``k``: ``inv`` is the free
     reduction of ``word[:k]`` with every letter flipped, so ``inv[::-1]``
@@ -244,38 +227,35 @@ def _reduce(
     """
     alphabet = w.alphabet
     word = w.letters
-    maxlhs = sys._maxlhs
-    match_at = sys.match_at
-    dfa = sys.automaton()
-    if dfa is not None:
-        delta, out = dfa
-        states = [0]
+    delta, out, reach = sys.automaton()
+    states = [0]
     inv: list[int] = []
     undo: list[int] = []
     k = 0
     steps = 0
     pos = 0
     while True:
-        n = len(word)
-        if dfa is None:
-            rule = None
-            while pos < n:
-                rule = match_at(word, pos, exclude=exclude)
-                if rule is not None:
-                    break
-                pos += 1
-        else:
-            del states[pos + 1 :]
-            s = states[pos]
-            for j in range(pos, n):
+        del states[pos + 1 :]
+        s = states[pos]
+        rule = None
+        j, end = pos, len(word)
+        while j < end:  # read up to an output; its candidate may shrink end
+            for j in range(j, end):
                 s = delta[s + word[j]]
                 states.append(s)
-                rule = out[s]
-                if rule is not None and rule.id != exclude:
-                    pos = j + 1 - len(rule.lhs.letters)
+                if out[s]:
                     break
             else:
-                rule = None
+                break
+            for hit in out[s]:
+                if hit.id != exclude:
+                    start = j + 1 - len(hit.lhs.letters)
+                    if rule is None or (start, hit.id) < (pos, rule.id):
+                        rule, pos = hit, start
+                        if start + reach < end:
+                            end = start + reach + 1
+                    break
+            j += 1
         if rule is None:
             return _monoid_word(alphabet, word)
         steps += 1
@@ -300,14 +280,12 @@ def _reduce(
                     inv.append(c)
                 k -= 1
             log.extend(act(rule.log, _group_word(alphabet, tuple(inv[::-1]))))
-        rhs = rule.rhs.letters
-        word = word[:pos] + rhs + word[pos + len(rule.lhs.letters) :]
-        if len(word) > REDUCE_MAX_WORD_LEN:
+        lhs, rhs = rule.lhs.letters, rule.rhs.letters
+        word = word[:pos] + rhs + word[pos + len(lhs) :]
+        if len(word) > REDUCE_MAX_WORD_LEN and len(rhs) > len(lhs):
             raise BudgetError(
                 f"word length budget exceeded while reducing {w!r}"
             )
-        if dfa is None:
-            pos = max(pos - maxlhs + 1, 0)
 
 
 def normal_form_fn(sys: LoggedRewriteSystem) -> Callable[[MonoidWord], MonoidWord]:

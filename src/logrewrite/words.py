@@ -198,11 +198,6 @@ def _check_same(u, v) -> None:
         raise WordError(f"alphabet mismatch: {u.alphabet!r} vs {v.alphabet!r}")
 
 
-def involute(w: MonoidWord) -> MonoidWord:
-    """The formal inverse on the free monoid: reverse and flip every sign."""
-    return _monoid_word(w.alphabet, tuple([c ^ 1 for c in reversed(w.letters)]))
-
-
 def mu(w: GroupWord) -> MonoidWord:
     """Translate a reduced group word into a monoid word letter for letter."""
     return _monoid_word(w.alphabet, w.letters)

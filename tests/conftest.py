@@ -85,7 +85,14 @@ def rescan_reduce(w, sys, max_steps=REDUCE_MAX_STEPS, rightmost=False, *, exclud
     normal form, the log and the number of rewrites.  ``rightmost`` scans
     from the right end instead, for the confluence checks: on a complete
     system both directions reach the same normal form.  The rule with id
-    ``exclude`` is skipped, as in ``logged_reduce``."""
+    ``exclude`` is skipped, as in ``logged_reduce``.  It reads only
+    ``sys.rules`` and matches on its own: at each position, the
+    lowest-id rule whose lhs occurs there."""
+    by_first = {}  # first letter -> (lhs, rule) in id order
+    for rule in sorted(sys.rules, key=lambda r: r.id):
+        if rule.id != exclude:
+            lhs = rule.lhs.letters
+            by_first.setdefault(lhs[0], []).append((lhs, rule))
     word = w.letters
     log_terms = []
     steps = 0
@@ -95,9 +102,11 @@ def rescan_reduce(w, sys, max_steps=REDUCE_MAX_STEPS, rightmost=False, *, exclud
         if rightmost:
             positions = range(len(word) - 1, -1, -1)
         for pos in positions:
-            rule = sys.match_at(word, pos, exclude=exclude)
-            if rule is not None:
-                hit = (pos, rule)
+            for lhs, rule in by_first.get(word[pos], ()):
+                if word[pos : pos + len(lhs)] == lhs:
+                    hit = (pos, rule)
+                    break
+            if hit is not None:
                 break
         if hit is None:
             return MonoidWord(w.alphabet, word), YSequence(log_terms), steps
@@ -109,4 +118,4 @@ def rescan_reduce(w, sys, max_steps=REDUCE_MAX_STEPS, rightmost=False, *, exclud
         pos, rule = hit
         prefix = GroupWord(w.alphabet, word[:pos])
         log_terms.extend(act(rule.log, inverse(prefix)))
-        word = word[:pos] + rule.rhs.letters + word[pos + len(rule.lhs) :]
+        word = word[:pos] + rule.rhs.letters + word[pos + len(rule.lhs.letters) :]

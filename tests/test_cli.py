@@ -106,6 +106,12 @@ class TestReduce:
         assert code == 0
         assert out.splitlines() == ["I = ab", "L = <idY>"]
 
+    def test_long_word_that_only_shrinks(self, capsys, q8_file):
+        # longer than REDUCE_MAX_WORD_LEN, but no rewrite lengthens it
+        code, out, err = run(capsys, "reduce", q8_file, "a^12000")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "I = <id>"
+
     def test_bad_word(self, capsys, q8_file):
         code, _, err = run(capsys, "reduce", q8_file, "z")
         assert code == 1 and "error:" in err

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from unittest import mock
 
@@ -214,10 +215,12 @@ class TestResumingReduce:
     exactly as the rescan-from-the-start reference does."""
 
     def test_lowest_id_decides_at_a_position(self):
-        first, second = REDUCE_SYSTEMS["nested"].rules[:2]
-        word = first.lhs.letters
-        assert word[: len(second.lhs)] == second.lhs.letters
-        assert REDUCE_SYSTEMS["nested"].match_at(word, 0) is first
+        sys = REDUCE_SYSTEMS["nested"]
+        first, second = sys.rules[:2]
+        word = first.lhs
+        assert word.letters[: len(second.lhs)] == second.lhs.letters
+        # rule 2 (aa) ends first, but rule 1 (aaab) starts there too
+        assert logged_reduce(word, sys) == (first.rhs, first.log)
 
     # "-left" names the scan direction, as in the ids of earlier runs
     @pytest.mark.parametrize(
@@ -230,14 +233,14 @@ class TestResumingReduce:
         w = data.draw(sized_words_over(sys.presentation.alphabet))
         assert_same_as_rescan(data, w, sys)
 
-    # both scans: the automaton when no lhs is a subword of another,
-    # else the first-letter buckets
-    @pytest.mark.parametrize("automaton", [True, False])
+    # both stopping rules: the first candidate when no lhs is a subword
+    # of another (reach 0), else the end of the lookahead window
+    @pytest.mark.parametrize("subword_free", [True, False])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_random_initial_systems(self, automaton, data):
+    def test_random_initial_systems(self, subword_free, data):
         sys = data.draw(random_initial_systems())
-        assume((sys.automaton() is not None) == automaton)
+        assume((sys.automaton()[2] == 0) == subword_free)
         exclude = data.draw(st.sampled_from([0] + [r.id for r in sys.rules]))
         w = data.draw(sized_words_over(sys.presentation.alphabet))
         assert_same_as_rescan(data, w, sys, exclude)
@@ -279,39 +282,73 @@ relators:
   r2 = a b a
 """
 
+SUFFIX_TEXT = """\
+generators: a, b
+relators:
+  r1 = a b a
+  r2 = b a
+"""
+
+# initial systems in which one lhs is a subword of another
+NESTED_SYSTEMS = {
+    "prefix": REDUCE_SYSTEMS["nested"],  # aa is a prefix of aaab
+    "prefix-shorter-first": initial_logged_system(
+        parse_presentation(SHORTER_FIRST_TEXT)  # ab, abba
+    ),
+    "inner": initial_logged_system(parse_presentation(INNER_TEXT)),  # bb in abba
+    "equal": initial_logged_system(parse_presentation(EQUAL_TEXT)),  # aba twice
+    "suffix": initial_logged_system(parse_presentation(SUFFIX_TEXT)),  # ba ends aba
+}
+
 
 class TestAutomaton:
-    """A system reduces on an automaton exactly when no lhs is a subword
-    of another."""
+    """Every system gets an automaton; its scan stops at the first
+    candidate (``reach`` 0) exactly when no lhs is a subword of another."""
 
     @pytest.mark.parametrize("name", ["q8", "d20", "trefoil", "z2", "q8-initial"])
     def test_subword_free_systems_get_one(self, name):
-        assert REDUCE_SYSTEMS[name].automaton() is not None
+        assert REDUCE_SYSTEMS[name].automaton()[2] == 0
 
     @pytest.mark.parametrize(
-        "sys",
-        [
-            REDUCE_SYSTEMS["nested"],  # aa is a prefix of aaab
-            initial_logged_system(parse_presentation(SHORTER_FIRST_TEXT)),  # ab, abba
-            initial_logged_system(parse_presentation(INNER_TEXT)),  # bb in abba
-            initial_logged_system(parse_presentation(EQUAL_TEXT)),  # aba twice
-        ],
-        ids=["prefix", "prefix-shorter-first", "inner", "equal"],
+        "name", ["prefix", "prefix-shorter-first", "inner", "equal"]
     )
-    def test_a_subword_denies_it(self, sys):
-        assert sys.automaton() is None
+    def test_a_subword_denies_it(self, name):
+        sys = NESTED_SYSTEMS[name]
+        reach = sys.automaton()[2]
+        assert reach == max(len(r.lhs) for r in sys.rules) - 1 > 0
+
+    @pytest.mark.parametrize("name", sorted(NESTED_SYSTEMS))
+    def test_nested_tables_exhaustively(self, name):
+        """Every word of up to five letters, with every rule excluded in
+        turn and with none, reduces as the rescan does."""
+        sys = NESTED_SYSTEMS[name]
+        alphabet = sys.presentation.alphabet
+        letters = range(2 * len(alphabet))
+        for exclude in [0] + [r.id for r in sys.rules]:
+            for size in range(6):
+                for word in itertools.product(letters, repeat=size):
+                    w = MonoidWord(alphabet, word)
+                    ref_nf, ref_log, _ = rescan_reduce(w, sys, exclude=exclude)
+                    assert logged_reduce(w, sys, exclude=exclude) == (
+                        ref_nf,
+                        ref_log,
+                    )
 
 
 class TestExclude:
     """Reducing with ``exclude=r.id`` is reducing over the system
     rebuilt without ``r``; the rebuilt system is the reference."""
 
-    def test_match_at_skips_only_the_excluded_id(self):
+    def test_exclude_skips_only_that_id(self):
         sys = REDUCE_SYSTEMS["nested"]
         first, second = sys.rules[:2]
-        word = first.lhs.letters
-        assert sys.match_at(word, 0, exclude=second.id) is first
-        assert sys.match_at(word, 0, exclude=first.id) is second
+        word = first.lhs  # aaab: both lhs start at 0
+        assert logged_reduce(word, sys, exclude=second.id) == (
+            first.rhs,
+            first.log,
+        )
+        nf, log = logged_reduce(word, sys, exclude=first.id)
+        assert render_monoid(nf) == "ab" and log == second.log
 
     def test_every_lhs_against_the_others(self):
         for sys in REDUCE_SYSTEMS.values():
@@ -375,21 +412,25 @@ def _key(o):
 
 
 class TestRuleTable:
-    def test_match_at_lowest_id_from_unsorted_rules(self, q8):
+    def test_lowest_id_from_unsorted_rules(self, q8):
         al = q8.alphabet
-        empty = MonoidWord(al)
 
-        def rule(text, rule_id):
-            return LoggedRule(parse_monoid(al, text), YSequence(), empty, rule_id)
+        def rule(lhs, rhs, rule_id):
+            return LoggedRule(
+                parse_monoid(al, lhs), YSequence(), parse_monoid(al, rhs), rule_id
+            )
 
         sys = LoggedRewriteSystem(
-            q8, [rule("ab", 7), rule("abb", 4), rule("b", 2)]
+            q8, [rule("ab", "", 7), rule("abb", "a", 4), rule("b", "", 2)]
         )
         assert [r.id for r in sys.rules] == [2, 4, 7]
-        word = parse_monoid(al, "abba").letters
-        assert sys.match_at(word, 0).id == 4
-        assert sys.match_at(word, 1).id == 2
-        assert sys.match_at(word, 3) is None
+
+        def nf(text):
+            return render_monoid(logged_reduce(parse_monoid(al, text), sys)[0])
+
+        assert nf("abba") == "aa"  # abb (4) before ab (7) at 0, b (2) later
+        assert nf("ab") == "<id>"  # ab (7) starts left of b (2)
+        assert nf("a") == "a"
 
     @pytest.mark.parametrize("text", [Q8_TEXT, TREFOIL_TEXT, ABELIAN_TEXT])
     def test_rules_stay_in_id_order(self, text):

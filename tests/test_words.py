@@ -16,7 +16,6 @@ from logrewrite.words import (
     free_multiply,
     gen_index,
     inverse,
-    involute,
     mu,
     mu_inverse,
     parse_group,
@@ -111,10 +110,6 @@ class TestGroupWord:
     def test_mu_is_letterwise(self):
         w = parse_group(AB, "a^-1 b")
         assert render_monoid(mu(w)) == "Ab"
-
-    def test_involute_is_monoid_inverse_image(self):
-        w = parse_group(AB, "a b^-1 a")
-        assert involute(mu(w)) == mu(inverse(w))
 
     @given(group_words())
     def test_double_inverse(self, w):
