@@ -10,9 +10,10 @@ times I(w).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from operator import attrgetter
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Container, Iterable, Optional, Union
 
 from .orderings import GT, LT
 from .presentation import Presentation
@@ -56,12 +57,52 @@ class Limits:
     max_passes: int = 100
 
 
-@dataclass(frozen=True)
 class LoggedRule:
-    lhs: MonoidWord
-    log: YSequence
-    rhs: MonoidWord
-    id: int
+    """A rule ``lhs -> rhs`` with its id and its log, a Y-sequence with
+    ``mu_inverse(lhs) = boundary(log) * mu_inverse(rhs)`` in F(X).
+
+    A rule is never changed once built, but for one cache: a rule that
+    completion forms (a critical pair's rule, or a rule interreduction
+    gives a new rhs) keeps the log it was built with as ``raw_log`` and
+    closes it with ``peiffer_closure`` on the first read of ``log``,
+    which keeps the result.  Most formed rules are removed before
+    anything reads their log.  Every other rule's ``log`` is its
+    ``raw_log``: the initial rules, a rule built with ``LoggedRule(...)``
+    and every rule of a completion with ``raw_logs=True``.
+    """
+
+    __slots__ = ("lhs", "raw_log", "rhs", "id", "_log")
+
+    def __init__(self, lhs: MonoidWord, log: YSequence, rhs: MonoidWord, id: int):
+        for name, value in (
+            ("lhs", lhs), ("raw_log", log), ("rhs", rhs), ("id", id), ("_log", log)
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    @property
+    def log(self) -> YSequence:
+        if self._log is None:
+            object.__setattr__(self, "_log", peiffer_closure(self.raw_log))
+        return self._log
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LoggedRule):
+            return NotImplemented
+        return (self.id, self.lhs, self.rhs, self.log) == (
+            other.id, other.lhs, other.rhs, other.log
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.lhs, self.rhs))
+
+    def __repr__(self) -> str:
+        return (
+            f"LoggedRule(lhs={self.lhs!r}, log={self.log!r}, "
+            f"rhs={self.rhs!r}, id={self.id!r})"
+        )
 
     def holds(self) -> bool:
         """The defining identity l = (delta c) r in F(X)."""
@@ -72,9 +113,21 @@ class LoggedRule:
         return lhs == rhs
 
 
+def _formed_rule(
+    lhs: MonoidWord, raw: YSequence, rhs: MonoidWord, rule_id: int, raw_logs: bool
+) -> LoggedRule:
+    """A rule completion forms: its log is ``raw``, closed on the first
+    read unless ``raw_logs``."""
+    rule = LoggedRule(lhs, raw, rhs, rule_id)
+    if not raw_logs:
+        object.__setattr__(rule, "_log", None)
+    return rule
+
+
 class LoggedRewriteSystem:
-    """Logged rules in id order, never changed once built: completion and
-    interreduction build a new system for each change.  The constructor
+    """Logged rules in id order, never changed once built: completion
+    builds a new system for each pass's new rules, and interreduction one
+    for each new rhs and one for its removals.  The constructor
     sorts the rules and indexes them by id; the index automaton that
     ``_reduce`` scans on is built on the first reduction (``automaton``).
     ``complete`` is set by completion once every overlap of the rules
@@ -181,26 +234,29 @@ def logged_reduce(
     ``_reduce``, which makes the same rewrites in the same scan.
     """
     log: list = []
-    nf = _reduce(w, sys, exclude=exclude, log=log)
+    nf = _reduce(w, sys, (exclude,), log)
     return nf, tuple(log)
 
 
 def _reduce(
     w: MonoidWord,
     sys: LoggedRewriteSystem,
-    exclude: int = 0,
+    skip: Container[int] = (),
     log: Optional[list] = None,
+    applied: Optional[set] = None,
 ) -> MonoidWord:
-    """The scan of ``logged_reduce``: the normal form of ``w``.  The log's
-    terms are appended to ``log`` when it is a list; when it is None, the
-    inverse prefix is not kept and no log is acted on.
+    """The scan of ``logged_reduce``: the normal form of ``w`` under the
+    rules whose ids are not in ``skip``.  The log's terms are appended to
+    ``log`` when it is a list; when it is None, the inverse prefix is not
+    kept and no log is acted on.  The id of every rule applied is added
+    to ``applied`` when it is a set.
 
     The scan reads the word left to right on the system's automaton
     (``LoggedRewriteSystem.automaton``), keeping ``states[j]``, the
     state after ``word[:j]``.  After ``word[j]`` is read into state
     ``s``, the rules of ``out[s]`` are those whose lhs ends at ``j``,
     the earliest-starting first and the lowest id first at one start;
-    the first of them other than ``exclude`` is the candidate ending at
+    the first of them not in ``skip`` is the candidate ending at
     ``j``.  The scan keeps the least ``(start, id)`` of the candidates
     and stops once it has read ``word[start + reach]``: an lhs is at
     most ``reach + 1`` letters long, so a match that starts earlier, or
@@ -213,10 +269,11 @@ def _reduce(
     A rewrite at ``pos`` leaves ``word[:pos]`` alone, and no match lies
     inside it, since none starts before ``pos``; so the stack is cut
     back to ``pos + 1`` entries and reading resumes at ``pos``: the
-    letters before ``pos`` are not read again.  Skipping the excluded
-    rule is exact, since ``out[s]`` lists every lhs that ends at ``j``:
-    the candidates left are those of the system without it.  So the
-    scan makes the rewrites a full rescan would.
+    letters before ``pos`` are not read again.  Skipping rules is exact,
+    since ``out[s]`` lists every lhs that ends at ``j``: the candidates
+    left are those of the system without them, and a ``reach`` of the
+    whole lhs set is at least that of any part of it.  So the scan makes
+    the rewrites a full rescan would.
 
     The inverse prefix is kept at a cursor ``k``: ``inv`` is the free
     reduction of ``word[:k]`` with every letter flipped, so ``inv[::-1]``
@@ -248,7 +305,7 @@ def _reduce(
             else:
                 break
             for hit in out[s]:
-                if hit.id != exclude:
+                if hit.id not in skip:
                     start = j + 1 - len(hit.lhs.letters)
                     if rule is None or (start, hit.id) < (pos, rule.id):
                         rule, pos = hit, start
@@ -261,8 +318,10 @@ def _reduce(
         steps += 1
         if steps > REDUCE_MAX_STEPS:
             raise BudgetError(
-                f"reduction budget exceeded on {_monoid_word(alphabet, word)!r}"
+                f"reduction budget exceeded on {_brief(_monoid_word(alphabet, word))}"
             )
+        if applied is not None:
+            applied.add(rule.id)
         if log is not None:
             while k < pos:
                 c = word[k]
@@ -284,8 +343,16 @@ def _reduce(
         word = word[:pos] + rhs + word[pos + len(lhs) :]
         if len(word) > REDUCE_MAX_WORD_LEN and len(rhs) > len(lhs):
             raise BudgetError(
-                f"word length budget exceeded while reducing {w!r}"
+                f"word length budget exceeded while reducing {_brief(w)}"
             )
+
+
+def _brief(w: MonoidWord) -> str:
+    """``repr(w)`` for an error message; a word of more than 40 letters
+    shows its first 40, then its length."""
+    if len(w) <= 40:
+        return repr(w)
+    return f"{_monoid_word(w.alphabet, w.letters[:40])!r}… ({len(w)} letters)"
 
 
 def normal_form_fn(sys: LoggedRewriteSystem) -> Callable[[MonoidWord], MonoidWord]:
@@ -480,14 +547,18 @@ def complete_presentation(
     lists every overlap; a later pass only those touching a rule the
     pass before added.  These are exactly the overlaps not resolved yet:
     ids are never reused and a rule keeps its lhs for life, so an overlap
-    of two older rules was resolved in an earlier pass.  Every change
-    builds a new system.  On success the final system is verified
-    against every overlap and marked complete; otherwise ``stopped``
-    says why not.
+    of two older rules was resolved in an earlier pass.  A pass builds a
+    system with its new rules, and none when it forms none;
+    interreduction reduces on that system's automaton and builds one
+    more for its removals and one for each new rhs (``_interreduce``).
+    On success the final system is verified against every overlap and
+    marked complete; otherwise ``stopped`` says why not.
 
     A log is built only for a pair that makes a new rule, whose log is
     the rule's certificate; whether a pair resolves is decided by its
-    two normal forms alone.
+    two normal forms alone.  A new rule's log is closed with
+    ``peiffer_closure`` when it is first read (``LoggedRule``), and never
+    with ``raw_logs``: most new rules are removed unread.
     """
     sys = initial_logged_system(p)
     report = CompletionReport(final_system=sys)
@@ -497,10 +568,12 @@ def complete_presentation(
     def pending_key(o: OverlapDescriptor) -> tuple:
         # overlaps of two logged (relator-derived) rules first, then the
         # ones involving free-cancellation rules; shorter words first.  A
-        # type-2 word is longer than l', so the key is total without kind
+        # type-2 word is longer than l', so the key is total without kind.
+        # The raw logs do not force a closure: a formed rule's log is
+        # never empty, raw or closed, since its boundary is lhs rhs^-1 != 1
         ra, rb = sys._by_id[o.rule_a], sys._by_id[o.rule_b]
         return (
-            0 if ra.log and rb.log else 1,
+            0 if ra.raw_log and rb.raw_log else 1,
             len(o.u) + len(rb.lhs) + len(o.v),
             o.rule_b,
             o.rule_a,
@@ -527,12 +600,11 @@ def complete_presentation(
                 lhs, log, rhs = result.z, invert(result.log), result.zprime
             else:  # pragma: no cover - z != z' guaranteed by process_overlap
                 raise AssertionError("unordered critical pair")
-            if not raw_logs:
-                log = peiffer_closure(log)
-            new_rules.append(LoggedRule(lhs, log, rhs, id=next_id))
+            new_rules.append(_formed_rule(lhs, log, rhs, next_id, raw_logs))
             next_id += 1
         report._harvest.append((sys, joined))
-        sys = LoggedRewriteSystem(p, sys.rules + new_rules)
+        if new_rules:
+            sys = LoggedRewriteSystem(p, sys.rules + new_rules)
         report.rules_formed += len(new_rules)
         if len(sys.rules) > limits.max_rules:
             report.stopped = MAX_RULES
@@ -558,32 +630,56 @@ def _interreduce(
     """Remove joinable redundant rules and normalise right-hand sides;
     returns the last system built and the number of rules removed.
 
-    Each rule is tested against the others by reducing with
-    ``exclude=rule.id``; a removal or a new rhs builds a new system, and
-    the scan starts again from its newest rule.
+    Rules are tested newest first, so that of two equivalent rules the
+    earlier derivation is the one kept, and after every removal or new
+    rhs the test starts again from the newest rule.  A rule is tested
+    against the others on ``sys``'s automaton, skipping its own id and
+    the ids of the rules removed so far, which gives the reductions of
+    the system without them (``_reduce``).  A new rhs builds a new
+    system; otherwise one system is built at the end, and none when
+    nothing changed.
+
+    A test's outcome is cached, so a restart re-tests only the rules
+    whose outcome may have changed.  That is exact because the
+    reduction is leftmost, lowest id first, and a removal or a new rhs
+    adds no lhs: a rule whose lhs and rhs are irreducible by the others
+    stays so for the whole call, and an unresolved rule (its lhs and rhs
+    reduce to different words) stays unresolved until a rule that one of
+    its two reductions applied is removed or given a new rhs.
     """
     removed = 0
-    while True:
-        rules = sys.rules
-        # scan newest rules first so that of two equivalent rules the
-        # earlier derivation is the one kept
-        for i in range(len(rules) - 1, -1, -1):
-            rule = rules[i]
-            z1 = _reduce(rule.lhs, sys, exclude=rule.id)
-            if z1 != rule.lhs:
-                if z1 != _reduce(rule.rhs, sys, exclude=rule.id):
-                    continue  # unresolved pair; leave for the completion loop
-                kept = []
-                removed += 1
-            else:
-                z2, d2 = logged_reduce(rule.rhs, sys, exclude=rule.id)
-                if z2 == rule.rhs:
-                    continue
-                log = rule.log + d2
-                if not raw_logs:
-                    log = peiffer_closure(log)
-                kept = [replace(rule, log=log, rhs=z2)]
-            sys = LoggedRewriteSystem(sys.presentation, rules[:i] + kept + rules[i + 1 :])
-            break
+    skip: set[int] = set()  # the removed rules, and the rule under test
+    todo = [-r.id for r in reversed(sys.rules)]  # a heap, newest first
+    unresolved: dict[int, set[int]] = {}  # rule id -> the rules applied
+    waiting: dict[int, list[int]] = {}  # applied rule id -> those rules
+    while todo:
+        rule = sys._by_id[-heappop(todo)]
+        skip.add(rule.id)
+        applied: set[int] = set()
+        z1 = _reduce(rule.lhs, sys, skip, applied=applied)
+        if z1 != rule.lhs:
+            if z1 != _reduce(rule.rhs, sys, skip, applied=applied):
+                # unresolved pair; leave for the completion loop
+                skip.discard(rule.id)
+                unresolved[rule.id] = applied
+                for a in applied:
+                    waiting.setdefault(a, []).append(rule.id)
+                continue
+            removed += 1  # and the rule stays skipped
         else:
-            return sys, removed
+            d2: list = []
+            z2 = _reduce(rule.rhs, sys, skip, d2)
+            skip.discard(rule.id)
+            if z2 == rule.rhs:
+                continue
+            new = _formed_rule(rule.lhs, rule.log + tuple(d2), z2, rule.id, raw_logs)
+            rules = [new if r is rule else r for r in sys.rules if r.id not in skip]
+            sys, skip = LoggedRewriteSystem(sys.presentation, rules), set()
+        for d in waiting.pop(rule.id, ()):
+            if rule.id in unresolved.get(d, ()):
+                del unresolved[d]
+                heappush(todo, -d)
+    if skip:
+        rules = [r for r in sys.rules if r.id not in skip]
+        sys = LoggedRewriteSystem(sys.presentation, rules)
+    return sys, removed

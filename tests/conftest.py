@@ -5,9 +5,16 @@ from logrewrite import (
     identities_pipeline,
     parse_presentation,
 )
-from logrewrite.rewriting import REDUCE_MAX_STEPS, BudgetError
+from logrewrite import rewriting
+from logrewrite.rewriting import (
+    REDUCE_MAX_STEPS,
+    BudgetError,
+    LoggedRewriteSystem,
+    LoggedRule,
+    logged_reduce,
+)
 from logrewrite.words import GroupWord, MonoidWord, inverse
-from logrewrite.ysequences import YSequence, act
+from logrewrite.ysequences import YSequence, act, peiffer_closure
 
 Q8_TEXT = """\
 generators: a, b
@@ -113,9 +120,49 @@ def rescan_reduce(w, sys, max_steps=REDUCE_MAX_STEPS, rightmost=False, *, exclud
         steps += 1
         if steps > max_steps:
             raise BudgetError(
-                f"reduction budget exceeded on {MonoidWord(w.alphabet, word)!r}"
+                f"reduction budget exceeded on {brief(MonoidWord(w.alphabet, word))}"
             )
         pos, rule = hit
         prefix = GroupWord(w.alphabet, word[:pos])
         log_terms.extend(act(rule.log, inverse(prefix)))
         word = word[:pos] + rule.rhs.letters + word[pos + len(rule.lhs.letters) :]
+
+
+def brief(word):
+    """A word as ``BudgetError`` messages show it: its repr, and past 40
+    letters the repr of the first 40, ``…`` and the letter count."""
+    if len(word.letters) <= 40:
+        return repr(word)
+    head = MonoidWord(word.alphabet, word.letters[:40])
+    return f"{head!r}… ({len(word.letters)} letters)"
+
+
+def restart_interreduce(sys, *, raw_logs):
+    """Reference interreduction: test the rules newest first against the
+    others, and after every removal or new rhs build a new system and
+    start again from its newest rule.  Returns the last system and the
+    number of rules removed, as ``rewriting._interreduce`` does."""
+    removed = 0
+    while True:
+        rules = sys.rules
+        for i in range(len(rules) - 1, -1, -1):
+            rule = rules[i]
+            z1 = rewriting._reduce(rule.lhs, sys, (rule.id,))
+            if z1 != rule.lhs:
+                if z1 != rewriting._reduce(rule.rhs, sys, (rule.id,)):
+                    continue  # unresolved
+                kept = []
+                removed += 1
+            else:
+                z2, d2 = logged_reduce(rule.rhs, sys, exclude=rule.id)
+                if z2 == rule.rhs:
+                    continue
+                log = rule.log + d2
+                if not raw_logs:
+                    log = peiffer_closure(log)
+                kept = [LoggedRule(rule.lhs, log, z2, rule.id)]
+            rules = rules[:i] + kept + rules[i + 1 :]
+            sys = LoggedRewriteSystem(sys.presentation, rules)
+            break
+        else:
+            return sys, removed

@@ -116,6 +116,17 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", q8_file, "z")
         assert code == 1 and "error:" in err
 
+    def test_budget_error_is_one_short_line(self, capsys):
+        # 100,000 rewrites on a word of about 3000 letters: the message
+        # shows the first 40 letters and the length, not the whole word
+        trefoil = str(SRC.parent / "demos" / "trefoil.pres")
+        code, out, err = run(capsys, "reduce", trefoil, "x^-3000")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: reduction budget exceeded on MonoidWord("
+            f"'xx{'Y' * 38}')… (2878 letters)\n"
+        )
+
 
 class TestKone:
     def test_q8_table(self, capsys, q8_file):

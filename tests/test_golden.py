@@ -2,10 +2,10 @@
 
 Each file under ``tests/golden/`` holds the stdout of one command run from
 the repository root.  The CLI cases cover ``complete`` and ``reduce`` on
-every ``demos/*.pres``, ``kone`` and ``identities --keep-all`` on Q8, each
-in text and JSON; the two demo scripts are run as they ship.  ``kone`` and
-``identities`` on the infinite groups are left out: they only print the
-vertex cap error, after a Cayley BFS of 10000 vertices.
+the Q8, trefoil and Z^2 demos, ``kone`` and ``identities --keep-all`` on
+Q8, each in text and JSON; the two demo scripts are run as they ship.
+``kone`` and ``identities`` on the infinite groups are left out: they
+only print the vertex cap error, after a Cayley BFS of 10000 vertices.
 """
 
 import os

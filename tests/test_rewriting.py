@@ -31,9 +31,20 @@ from logrewrite.words import (
     parse_monoid,
     render_monoid,
 )
-from logrewrite.ysequences import YSequence, boundary, render_ysequence
+from logrewrite.ysequences import (
+    YSequence,
+    boundary,
+    peiffer_closure,
+    render_ysequence,
+)
 
-from tests.conftest import ABELIAN_TEXT, Q8_TEXT, TREFOIL_TEXT, rescan_reduce
+from tests.conftest import (
+    ABELIAN_TEXT,
+    Q8_TEXT,
+    TREFOIL_TEXT,
+    rescan_reduce,
+    restart_interreduce,
+)
 
 
 def words_over(alphabet, max_size=10):
@@ -111,6 +122,16 @@ class TestLoggedReduce:
                 logged_reduce(w, trefoil_system)
         assert str(exc.value) == (
             "word length budget exceeded while reducing MonoidWord('X')"
+        )
+
+    def test_long_word_in_budget_message(self, trefoil, trefoil_system):
+        w = parse_monoid(trefoil.alphabet, "X" * 45)
+        with mock.patch.object(rewriting, "REDUCE_MAX_WORD_LEN", 46):
+            with pytest.raises(BudgetError) as exc:
+                logged_reduce(w, trefoil_system)
+        assert str(exc.value) == (
+            "word length budget exceeded while reducing "
+            f"MonoidWord('{'X' * 40}')… (45 letters)"
         )
 
 
@@ -258,7 +279,67 @@ class TestResumingReduce:
         exclude = data.draw(st.sampled_from([0] + [r.id for r in sys.rules]))
         w = data.draw(sized_words_over(sys.presentation.alphabet))
         nf, log = logged_reduce(w, sys, exclude=exclude)
-        assert rewriting._reduce(w, sys, exclude=exclude) == nf
+        assert rewriting._reduce(w, sys, (exclude,)) == nf
+
+
+def _rule_key(rule):
+    return rule.id, rule.lhs, rule.rhs, rule.log
+
+
+class TestInterreduce:
+    """``_interreduce`` reduces on one automaton and caches each rule's
+    test outcome; it must decide as ``restart_interreduce``, which builds
+    a system for every change and re-tests every rule after it."""
+
+    @staticmethod
+    def assert_same_as_restart(p, raw_logs):
+        """On every system completion hands to interreduction (at most
+        five passes and 80 rules), the same rules and removed count."""
+        handed = []
+        interreduce = rewriting._interreduce
+
+        def record(sys, *, raw_logs):
+            handed.append(sys)
+            return interreduce(sys, raw_logs=raw_logs)
+
+        limits = Limits(max_rules=80, max_passes=5)
+        with mock.patch.object(rewriting, "_interreduce", record):
+            try:
+                complete_presentation(p, limits, raw_logs=raw_logs)
+            except BudgetError:
+                reject()
+        for sys in handed:
+            got, removed = interreduce(sys, raw_logs=raw_logs)
+            want, want_removed = restart_interreduce(sys, raw_logs=raw_logs)
+            assert removed == want_removed
+            assert list(map(_rule_key, got.rules)) == list(
+                map(_rule_key, want.rules)
+            )
+
+    @pytest.mark.parametrize("raw_logs", [False, True])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_same_as_restart(self, raw_logs, data):
+        p = data.draw(random_initial_systems()).presentation
+        self.assert_same_as_restart(p, raw_logs)
+
+    # one-relator groups in which a cached unresolved outcome must be
+    # re-tested: after a removal, and after a new rhs, of a rule it applied
+    @pytest.mark.parametrize(
+        "generators, relator",
+        [
+            ("a, b", "a^-1 b b a^-1 a a^-1 a^-1 a^-1"),
+            ("a, b, c", "c^-1 c a^-1 b c b b a"),
+        ],
+        ids=["removal", "new-rhs"],
+    )
+    @pytest.mark.parametrize("raw_logs", [False, True])
+    def test_cached_outcomes_re_tested(self, generators, relator, raw_logs):
+        text = f"generators: {generators}\nrelators:\n  r1 = {relator}\n"
+        self.assert_same_as_restart(parse_presentation(text), raw_logs)
+
+    def test_unchanged_system_is_kept(self, q8_system):
+        assert rewriting._interreduce(q8_system, raw_logs=False) == (q8_system, 0)
 
 
 SHORTER_FIRST_TEXT = """\
@@ -760,3 +841,28 @@ class TestPinnedCompletions:
     def test_s5_pipeline(self, s5_pipeline):
         assert len(s5_pipeline.graph) == 120
         assert len(s5_pipeline.kept) == 284
+
+
+class TestCompletionWork:
+    """Completion of S5 builds an index automaton per pass and per new
+    rhs, not per removal (552 at one system per change), and closes only
+    the logs it reads."""
+
+    @pytest.mark.parametrize("raw_logs", [False, True])
+    def test_s5(self, raw_logs):
+        p = parse_presentation(S5_TEXT)
+        with mock.patch.object(
+            rewriting, "_index_automaton", wraps=rewriting._index_automaton
+        ) as automata, mock.patch.object(
+            rewriting, "peiffer_closure", wraps=peiffer_closure
+        ) as closures:
+            report = complete_presentation(p, raw_logs=raw_logs)
+        assert report.final_system.complete
+        assert automata.call_count <= 30
+        if raw_logs:
+            assert closures.call_count == 0
+        else:
+            assert closures.call_count < report.rules_formed
+        for rule in report.final_system.rules:
+            closed = rule.raw_log if raw_logs else peiffer_closure(rule.raw_log)
+            assert rule.log == closed
