@@ -127,11 +127,11 @@ def _formed_rule(
 class LoggedRewriteSystem:
     """Logged rules in id order, never changed once built: completion
     builds a new system for each pass's new rules, and interreduction one
-    for each new rhs and one for its removals.  The constructor
-    sorts the rules and indexes them by id; the index automaton that
-    ``_reduce`` scans on is built on the first reduction (``automaton``).
-    ``complete`` is set by completion once every overlap of the rules
-    resolves."""
+    for its removals and one for each new rhs (``replaced``).  The
+    constructor sorts the rules and indexes them by id; the index
+    automaton that ``_reduce`` scans on is built on the first reduction
+    (``automaton``).  ``complete`` is set by completion once every
+    overlap of the rules resolves."""
 
     def __init__(self, presentation: Presentation, rules: Iterable[LoggedRule]):
         self.presentation = presentation
@@ -142,6 +142,23 @@ class LoggedRewriteSystem:
 
     def rules_by_id(self) -> list[LoggedRule]:
         return list(self.rules)
+
+    def replaced(self, old: LoggedRule, new: LoggedRule) -> LoggedRewriteSystem:
+        """This system with the rule ``old`` replaced by ``new``, which has
+        its lhs and id.  The lhs set is the same, so the new system reuses
+        this one's automaton with ``new`` in the place of ``old``."""
+        sys = LoggedRewriteSystem(
+            self.presentation, [new if r is old else r for r in self.rules]
+        )
+        delta, out, reach = self.automaton()
+        out = [
+            tuple(new if r is old else r for r in o)
+            if any(r is old for r in o)
+            else o
+            for o in out
+        ]
+        sys._dfa = delta, out, reach
+        return sys
 
     def automaton(self) -> tuple[list[int], list, int]:
         """The Aho-Corasick automaton of the lhs set, ``(delta, out,
@@ -550,7 +567,7 @@ def complete_presentation(
     of two older rules was resolved in an earlier pass.  A pass builds a
     system with its new rules, and none when it forms none;
     interreduction reduces on that system's automaton and builds one
-    more for its removals and one for each new rhs (``_interreduce``).
+    more for its removals (``_interreduce``).
     On success the final system is verified against every overlap and
     marked complete; otherwise ``stopped`` says why not.
 
@@ -635,9 +652,10 @@ def _interreduce(
     rhs the test starts again from the newest rule.  A rule is tested
     against the others on ``sys``'s automaton, skipping its own id and
     the ids of the rules removed so far, which gives the reductions of
-    the system without them (``_reduce``).  A new rhs builds a new
-    system; otherwise one system is built at the end, and none when
-    nothing changed.
+    the system without them (``_reduce``).  A new rhs makes a new system
+    on the same automaton (``LoggedRewriteSystem.replaced``); one system
+    without the removed rules is built at the end, and none when no rule
+    was removed.
 
     A test's outcome is cached, so a restart re-tests only the rules
     whose outcome may have changed.  That is exact because the
@@ -673,8 +691,7 @@ def _interreduce(
             if z2 == rule.rhs:
                 continue
             new = _formed_rule(rule.lhs, rule.log + tuple(d2), z2, rule.id, raw_logs)
-            rules = [new if r is rule else r for r in sys.rules if r.id not in skip]
-            sys, skip = LoggedRewriteSystem(sys.presentation, rules), set()
+            sys = sys.replaced(rule, new)
         for d in waiting.pop(rule.id, ()):
             if rule.id in unresolved.get(d, ()):
                 del unresolved[d]
