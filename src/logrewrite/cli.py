@@ -17,6 +17,7 @@ import sys as _sys
 
 from . import __version__
 from .identities import (
+    VERTEX_CAP,
     InfiniteGroupError,
     build_cayley_graph,
     identities_pipeline,
@@ -88,11 +89,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_id)
     p_id.add_argument("--keep-all", action="store_true",
                       help="show discarded records with their statuses")
-    p_id.add_argument("--vertex-cap", type=_positive_int, default=10_000)
+    p_id.add_argument("--vertex-cap", type=_positive_int, default=VERTEX_CAP)
 
     p_kone = sub.add_parser("kone", help="k1 on every edge of the Cayley graph")
     common(p_kone)
-    p_kone.add_argument("--vertex-cap", type=_positive_int, default=10_000)
+    p_kone.add_argument("--vertex-cap", type=_positive_int, default=VERTEX_CAP)
 
     # identities_pipeline normalises its logs itself, so it takes no flag
     for p in (p_complete, p_reduce, p_kone):

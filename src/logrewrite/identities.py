@@ -52,6 +52,9 @@ from .ysequences import (
 )
 
 
+VERTEX_CAP = 10_000  # vertices the Cayley closure visits before it gives up
+
+
 class InfiniteGroupError(RuntimeError):
     """The vertex closure exceeded its cap; the group is (probably)
     infinite.  Use the sampled ``identity_for`` / ``k1_for`` API instead."""
@@ -124,7 +127,7 @@ def compute_k1(
 
 
 def build_cayley_graph(
-    sys: LoggedRewriteSystem, vertex_cap: int = 10_000
+    sys: LoggedRewriteSystem, vertex_cap: int = VERTEX_CAP
 ) -> CayleyGraph:
     """Breadth-first closure from the identity under right multiplication
     by the positive generators, with chosen k1 on every edge."""
@@ -331,7 +334,7 @@ class PipelineResult:
 def identities_pipeline(
     p: Presentation,
     limits: Limits = Limits(),
-    vertex_cap: int = 10_000,
+    vertex_cap: int = VERTEX_CAP,
 ) -> PipelineResult:
     """Completion, Cayley graph, one identity per (vertex, relator) pair,
     then the discard pipeline."""

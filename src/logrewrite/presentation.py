@@ -126,12 +126,12 @@ def parse_presentation(
         if not letter_order_override.strip():
             raise WordError("empty letter order")
         letters_text = letter_order_override
-    if letters_text is not None:
-        try:
+    try:
+        if letters_text is not None:
             letter_order = parse_letter_order(alphabet, letters_text.split(","))
-        except WordError as exc:
-            if letter_order_override is not None:  # an override has no line
-                raise
-            raise ParseError(str(exc), letters_line) from None
-    order = OrderSpec(order_kind, alphabet, letter_order)
+        order = OrderSpec(order_kind, alphabet, letter_order)
+    except WordError as exc:
+        if letters_text is None or letter_order_override is not None:
+            raise  # an override has no line
+        raise ParseError(str(exc), letters_line) from None
     return Presentation(alphabet, tuple(relators), order)

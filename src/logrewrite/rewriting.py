@@ -233,25 +233,22 @@ def initial_logged_system(p: Presentation) -> LoggedRewriteSystem:
 
 
 def logged_reduce(
-    w: MonoidWord, sys: LoggedRewriteSystem, *, exclude: int = 0
+    w: MonoidWord, sys: LoggedRewriteSystem
 ) -> tuple[MonoidWord, YSequence]:
     """Reduce ``w`` to an irreducible word, recording the log.
 
-    Deterministic: leftmost match, lowest rule id on ties.  The rule with
-    id ``exclude`` is skipped, so the result is that of the system
-    without it (interreduction tests a rule against the others this
-    way); the default 0 skips none.  A reduction that makes more than
-    ``REDUCE_MAX_STEPS`` rewrites, or whose word grows longer than
-    ``REDUCE_MAX_WORD_LEN`` letters, raises ``BudgetError``; the length
-    is tested after each rewrite that lengthens the word, so a long
-    word that only shrinks reduces.
+    Deterministic: leftmost match, lowest rule id on ties.  A reduction
+    that makes more than ``REDUCE_MAX_STEPS`` rewrites, or whose word
+    grows longer than ``REDUCE_MAX_WORD_LEN`` letters, raises
+    ``BudgetError``; the length is tested after each rewrite that
+    lengthens the word, so a long word that only shrinks reduces.
 
     This builds the log, acting on every applied rule's log by the
     inverse prefix.  Callers that throw the log away use the log-free
     ``_reduce``, which makes the same rewrites in the same scan.
     """
     log: list = []
-    nf = _reduce(w, sys, (exclude,), log)
+    nf = _reduce(w, sys, (), log)
     return nf, tuple(log)
 
 
@@ -423,7 +420,7 @@ def find_overlaps(
     ``frontier`` are listed.
     """
     alphabet = sys.presentation.alphabet
-    empty = MonoidWord(alphabet)
+    empty = _monoid_word(alphabet, ())
     rules = sys.rules
     fresh = rules if frontier is None else [r for r in rules if r.id in frontier]
     out: list[OverlapDescriptor] = []
@@ -439,8 +436,8 @@ def find_overlaps(
                                 ra.id,
                                 rb.id,
                                 "type1",
-                                MonoidWord(alphabet, la[:pos]),
-                                MonoidWord(alphabet, la[pos + len(lb) :]),
+                                _monoid_word(alphabet, la[:pos]),
+                                _monoid_word(alphabet, la[pos + len(lb) :]),
                                 empty,
                             )
                         )
@@ -452,9 +449,9 @@ def find_overlaps(
                             ra.id,
                             rb.id,
                             "type2",
-                            MonoidWord(alphabet, la[: len(la) - k]),
+                            _monoid_word(alphabet, la[: len(la) - k]),
                             empty,
-                            MonoidWord(alphabet, lb[k:]),
+                            _monoid_word(alphabet, lb[k:]),
                         )
                     )
     return out

@@ -276,11 +276,11 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     for raw in text.replace("*", " ").split():
         if raw == "<id>":
             continue
-        name, _, exp_text = raw.partition("^")
+        name, caret, exp_text = raw.partition("^")
         if not name:
             raise WordError(f"bad token {raw!r}")
         exp = 1
-        if exp_text:
+        if caret:
             try:
                 exp = int(exp_text)
             except ValueError:

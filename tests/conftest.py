@@ -11,7 +11,6 @@ from logrewrite.rewriting import (
     BudgetError,
     LoggedRewriteSystem,
     LoggedRule,
-    logged_reduce,
 )
 from logrewrite.words import GroupWord, MonoidWord, inverse
 from logrewrite.ysequences import YSequence, act, peiffer_closure
@@ -92,9 +91,9 @@ def rescan_reduce(w, sys, max_steps=REDUCE_MAX_STEPS, rightmost=False, *, exclud
     normal form, the log and the number of rewrites.  ``rightmost`` scans
     from the right end instead, for the confluence checks: on a complete
     system both directions reach the same normal form.  The rule with id
-    ``exclude`` is skipped, as in ``logged_reduce``.  It reads only
-    ``sys.rules`` and matches on its own: at each position, the
-    lowest-id rule whose lhs occurs there."""
+    ``exclude`` is skipped, as ``rewriting._reduce`` skips the ids it is
+    given.  It reads only ``sys.rules`` and matches on its own: at each
+    position, the lowest-id rule whose lhs occurs there."""
     by_first = {}  # first letter -> (lhs, rule) in id order
     for rule in sorted(sys.rules, key=lambda r: r.id):
         if rule.id != exclude:
@@ -154,10 +153,11 @@ def restart_interreduce(sys, *, raw_logs):
                 kept = []
                 removed += 1
             else:
-                z2, d2 = logged_reduce(rule.rhs, sys, exclude=rule.id)
+                d2 = []
+                z2 = rewriting._reduce(rule.rhs, sys, (rule.id,), d2)
                 if z2 == rule.rhs:
                     continue
-                log = rule.log + d2
+                log = rule.log + tuple(d2)
                 if not raw_logs:
                     log = peiffer_closure(log)
                 kept = [LoggedRule(rule.lhs, log, z2, rule.id)]

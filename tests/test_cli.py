@@ -116,6 +116,11 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", q8_file, "z")
         assert code == 1 and "error:" in err
 
+    def test_empty_exponent(self, capsys, q8_file):
+        code, out, err = run(capsys, "reduce", q8_file, "a^")
+        assert (code, out) == (1, "")
+        assert "bad exponent in 'a^'" in err
+
     def test_budget_error_is_one_short_line(self, capsys):
         # 100,000 rewrites on a word of about 3000 letters: the message
         # shows the first 40 letters and the length, not the whole word

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,6 +24,49 @@ def monoid_words(alphabet, max_size=8):
     return st.lists(
         st.integers(min_value=0, max_value=n - 1), max_size=max_size
     ).map(lambda ls: MonoidWord(alphabet, ls))
+
+
+def reference_compare(kind, letter_order, u, v):
+    """The comparison ``OrderSpec.compare`` made before it became a sort
+    key: shortlex letter by letter, syllable by the recursion on the
+    greatest letter."""
+    rank = {c: i for i, c in enumerate(letter_order)}
+    if kind == "shortlex":
+        if len(u) != len(v):
+            return LT if len(u) < len(v) else GT
+        for a, b in zip(u.letters, v.letters):
+            if a != b:
+                return LT if rank[a] < rank[b] else GT
+        return EQ
+    return _reference_syllable(u.letters, v.letters, tuple(reversed(letter_order)))
+
+
+def _reference_syllable(u, v, desc):
+    if u == v or not desc:
+        return EQ
+    m = desc[0]
+    cu, cv = u.count(m), v.count(m)
+    if cu != cv:
+        return LT if cu < cv else GT
+    if cu == 0:
+        return _reference_syllable(u, v, desc[1:])
+    for su, sv in zip(_reference_split(u, m), _reference_split(v, m)):
+        r = _reference_syllable(su, sv, desc[1:])
+        if r != EQ:
+            return r
+    return EQ
+
+
+def _reference_split(w, m):
+    chunks, current = [], []
+    for c in w:
+        if c == m:
+            chunks.append(tuple(current))
+            current = []
+        else:
+            current.append(c)
+    chunks.append(tuple(current))
+    return chunks
 
 
 def shortlex_oracle(u, v, rank):
@@ -89,6 +134,37 @@ class TestAdmissibility:
             assert spec.compare(x.concat(u).concat(y), x.concat(v).concat(y)) == r
 
 
+@st.composite
+def orders_and_words(draw):
+    """An ordering over 1-3 generators with a random letter order, and
+    two words of up to 8 letters."""
+    alphabet = Alphabet("abc"[: draw(st.integers(min_value=1, max_value=3))])
+    letter_order = tuple(draw(st.permutations(list(alphabet.letters()))))
+    kind = draw(st.sampled_from(["shortlex", "syllable"]))
+    spec = OrderSpec(kind, alphabet, letter_order)
+    return spec, draw(monoid_words(alphabet)), draw(monoid_words(alphabet))
+
+
+class TestAgainstReference:
+    @given(orders_and_words())
+    def test_random_orders(self, case):
+        spec, u, v = case
+        want = reference_compare(spec.kind, spec.letter_order, u, v)
+        assert spec.compare(u, v) == want
+
+    @pytest.mark.parametrize("kind", ["shortlex", "syllable"])
+    def test_every_pair_of_short_words(self, kind):
+        spec = OrderSpec(kind, AB)
+        words = [
+            MonoidWord(AB, w)
+            for n in range(4)
+            for w in itertools.product(AB.letters(), repeat=n)
+        ]
+        for u, v in itertools.product(words, repeat=2):
+            want = reference_compare(kind, spec.letter_order, u, v)
+            assert spec.compare(u, v) == want
+
+
 class TestSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(WordError):
@@ -97,6 +173,20 @@ class TestSpecValidation:
     def test_bad_permutation(self):
         with pytest.raises(WordError):
             OrderSpec("shortlex", AB, (0, 1, 2, 2))
+
+    def test_code_outside_the_alphabet(self):
+        with pytest.raises(WordError) as exc:
+            OrderSpec("shortlex", AB, (0, 1, 2, 7))
+        assert str(exc.value) == (
+            "letter order a, A, b, 7 is not a permutation of the signed "
+            "alphabet a, A, b, B"
+        )
+
+    @pytest.mark.parametrize("kind", ["shortlex", "syllable"])
+    def test_default_letter_orders(self, kind):
+        # shortlex: a < A < b < B; syllable: b < B < a < A
+        expected = {"shortlex": (0, 1, 2, 3), "syllable": (2, 3, 0, 1)}[kind]
+        assert OrderSpec(kind, AB).letter_order == expected
 
     def test_parse_letter_order_forms(self):
         assert parse_letter_order(AB, ["a+", "a-", "b+", "b-"]) == (0, 1, 2, 3)

@@ -80,6 +80,7 @@ class TestParseErrors:
             ("generators: a\nletters: a+, a-\nrelators:\nletters: a-, a+\n", 4),
             ("generators: a\nrelators:\n  r = a^2\ngenerators: b\n", 4),
             ("generators: a, b\nletters:\nrelators:\n  r = a^2\n", 2),
+            ("generators: a\nrelators:\n  r1 = a^2\n  r2 = a^\n", 4),  # no exponent
         ],
     )
     def test_line_numbers(self, text, line):

@@ -188,11 +188,24 @@ def sized_words_over(alphabet, max_size=200):
     )
 
 
+def reduce_skipping(w, sys, skip=()):
+    """The logged reduction of ``w`` over ``sys`` without the rules whose
+    ids are in ``skip``: ``logged_reduce`` when ``skip`` is empty, else
+    ``rewriting._reduce`` with a log, as interreduction runs it."""
+    if not skip:
+        return logged_reduce(w, sys)
+    log = []
+    nf = rewriting._reduce(w, sys, skip, log)
+    return nf, tuple(log)
+
+
 def assert_same_as_rescan(data, w, sys, exclude=0):
-    """``logged_reduce`` makes the rewrites of ``rescan_reduce``: the same
-    normal form, the same log term for term, and under a drawn step
-    budget the same ``BudgetError``."""
-    nf, log = logged_reduce(w, sys, exclude=exclude)
+    """The logged reduction without rule ``exclude`` (0: none) makes the
+    rewrites of ``rescan_reduce``: the same normal form, the same log
+    term for term, and under a drawn step budget the same
+    ``BudgetError``."""
+    skip = (exclude,) if exclude else ()
+    nf, log = reduce_skipping(w, sys, skip)
     ref_nf, ref_log, steps = rescan_reduce(w, sys, exclude=exclude)
     assert nf == ref_nf
     assert log == ref_log
@@ -201,12 +214,12 @@ def assert_same_as_rescan(data, w, sys, exclude=0):
     with mock.patch.object(rewriting, "REDUCE_MAX_STEPS", budget):
         if budget < steps:
             with pytest.raises(BudgetError) as got:
-                logged_reduce(w, sys, exclude=exclude)
+                reduce_skipping(w, sys, skip)
             with pytest.raises(BudgetError) as want:
                 rescan_reduce(w, sys, budget, exclude=exclude)
             assert str(got.value) == str(want.value)
         else:
-            assert logged_reduce(w, sys, exclude=exclude) == (nf, log)
+            assert reduce_skipping(w, sys, skip) == (nf, log)
 
 
 @st.composite
@@ -278,7 +291,7 @@ class TestResumingReduce:
         )
         exclude = data.draw(st.sampled_from([0] + [r.id for r in sys.rules]))
         w = data.draw(sized_words_over(sys.presentation.alphabet))
-        nf, log = logged_reduce(w, sys, exclude=exclude)
+        nf, _ = reduce_skipping(w, sys, (exclude,))
         assert rewriting._reduce(w, sys, (exclude,)) == nf
 
 
@@ -426,25 +439,19 @@ class TestAutomaton:
                 for word in itertools.product(letters, repeat=size):
                     w = MonoidWord(alphabet, word)
                     ref_nf, ref_log, _ = rescan_reduce(w, sys, exclude=exclude)
-                    assert logged_reduce(w, sys, exclude=exclude) == (
-                        ref_nf,
-                        ref_log,
-                    )
+                    assert reduce_skipping(w, sys, (exclude,)) == (ref_nf, ref_log)
 
 
 class TestExclude:
-    """Reducing with ``exclude=r.id`` is reducing over the system
-    rebuilt without ``r``; the rebuilt system is the reference."""
+    """Reducing with ``r.id`` skipped is reducing over the system rebuilt
+    without ``r``; the rebuilt system is the reference."""
 
     def test_exclude_skips_only_that_id(self):
         sys = REDUCE_SYSTEMS["nested"]
         first, second = sys.rules[:2]
         word = first.lhs  # aaab: both lhs start at 0
-        assert logged_reduce(word, sys, exclude=second.id) == (
-            first.rhs,
-            first.log,
-        )
-        nf, log = logged_reduce(word, sys, exclude=first.id)
+        assert reduce_skipping(word, sys, (second.id,)) == (first.rhs, first.log)
+        nf, log = reduce_skipping(word, sys, (first.id,))
         assert render_monoid(nf) == "ab" and log == second.log
 
     def test_every_lhs_against_the_others(self):
@@ -453,7 +460,7 @@ class TestExclude:
                 others = LoggedRewriteSystem(
                     sys.presentation, [r for r in sys.rules if r.id != rule.id]
                 )
-                nf, log = logged_reduce(rule.lhs, sys, exclude=rule.id)
+                nf, log = reduce_skipping(rule.lhs, sys, (rule.id,))
                 ref_nf, ref_log = logged_reduce(rule.lhs, others)
                 assert nf == ref_nf
                 assert log == ref_log
@@ -471,10 +478,32 @@ class TestExclude:
         others = LoggedRewriteSystem(
             sys.presentation, [r for r in sys.rules if r.id != rule.id]
         )
-        nf, log = logged_reduce(w, sys, exclude=rule.id)
+        nf, log = reduce_skipping(w, sys, (rule.id,))
         ref_nf, ref_log = logged_reduce(w, others)
         assert nf == ref_nf
         assert log == ref_log
+
+    # after a removal, interreduction skips the removed rule and the rule
+    # under test at once
+    @pytest.mark.parametrize("name", sorted(REDUCE_SYSTEMS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_two_skipped_as_rebuilt_without_both(self, name, data):
+        sys = REDUCE_SYSTEMS[name]
+        first, second = data.draw(
+            st.lists(st.sampled_from(sys.rules), min_size=2, max_size=2, unique=True)
+        )
+        if data.draw(st.booleans()):
+            w = first.lhs
+        else:
+            w = data.draw(sized_words_over(sys.presentation.alphabet))
+        others = LoggedRewriteSystem(
+            sys.presentation,
+            [r for r in sys.rules if r.id not in (first.id, second.id)],
+        )
+        assert reduce_skipping(w, sys, {first.id, second.id}) == logged_reduce(
+            w, others
+        )
 
 
 class TestNormalFormFn:

@@ -229,3 +229,11 @@ class TestRendering:
     def test_unknown_generator(self):
         with pytest.raises(WordError):
             parse_group(AB, "c")
+
+    @pytest.mark.parametrize("text", ["a^", "b a^", "a^x", "ab^"])
+    def test_bad_exponent(self, text):
+        bad = text.split()[-1]
+        for parse in (parse_group, parse_monoid):
+            with pytest.raises(WordError) as exc:
+                parse(AB, text)
+            assert str(exc.value) == f"bad exponent in {bad!r}"
