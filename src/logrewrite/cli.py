@@ -271,8 +271,11 @@ def _cmd_identities(args: argparse.Namespace) -> int:
         for r in records
     ]
     print(_table(rows))
-    kept = len(result.kept)
-    print(f"# {len(result.records)} records, {kept} kept", file=_sys.stderr)
+    print(
+        f"# {len(result.records)} records, {len(result.kept)} kept, "
+        f"{result.too_long_for_primary} too long for the primary test",
+        file=_sys.stderr,
+    )
     return 0
 
 

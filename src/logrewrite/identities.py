@@ -282,8 +282,9 @@ def simplify_identity_list(
 
     The primary test reduces with ``graph.sys``, which is complete.
     Records longer than ``PRIMARY_MAX_TERMS`` skip the pairing search and
-    are not primary.  A shorter record with a non-trivial boundary makes
-    the primary test raise ``WordError``.
+    are not primary (``PipelineResult.too_long_for_primary`` counts
+    them).  A shorter record with a non-trivial boundary makes the
+    primary test raise ``WordError``.
     """
     alphabet = graph.sys.presentation.alphabet
     nf = normal_form_fn(graph.sys)
@@ -329,6 +330,12 @@ class PipelineResult:
     @property
     def kept(self) -> list[IdentityRecord]:
         return [r for r in self.records if r.status == KEPT]
+
+    @property
+    def too_long_for_primary(self) -> int:
+        """The number of records longer than ``PRIMARY_MAX_TERMS``, which
+        skip the primary test and count as not primary."""
+        return sum(len(r.sequence) > PRIMARY_MAX_TERMS for r in self.records)
 
 
 def identities_pipeline(

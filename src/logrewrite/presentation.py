@@ -121,17 +121,18 @@ def parse_presentation(
             raise ParseError(f"relator {label!r} reduces to the empty word", lineno)
         relators.append(RelatorRef.make(label, word))
 
-    letter_order: tuple[int, ...] = ()
+    # the kind first, on its own: an override's unknown kind has no line
+    order = OrderSpec(order_kind, alphabet)
     if letter_order_override is not None:
         if not letter_order_override.strip():
             raise WordError("empty letter order")
         letters_text = letter_order_override
-    try:
-        if letters_text is not None:
+    if letters_text is not None:
+        try:
             letter_order = parse_letter_order(alphabet, letters_text.split(","))
-        order = OrderSpec(order_kind, alphabet, letter_order)
-    except WordError as exc:
-        if letters_text is None or letter_order_override is not None:
-            raise  # an override has no line
-        raise ParseError(str(exc), letters_line) from None
+            order = OrderSpec(order_kind, alphabet, letter_order)
+        except WordError as exc:
+            if letter_order_override is not None:
+                raise  # an override has no line
+            raise ParseError(str(exc), letters_line) from None
     return Presentation(alphabet, tuple(relators), order)

@@ -33,6 +33,7 @@ from .ysequences import (
     POS,
     YSequence,
     YTerm,
+    _yterm,
     act,
     boundary,
     invert,
@@ -243,9 +244,10 @@ def logged_reduce(
     ``BudgetError``; the length is tested after each rewrite that
     lengthens the word, so a long word that only shrinks reduces.
 
-    This builds the log, acting on every applied rule's log by the
-    inverse prefix.  Callers that throw the log away use the log-free
-    ``_reduce``, which makes the same rewrites in the same scan.
+    This builds the log: every applied rule's log, acted on by the
+    inverse of the prefix before the match.  Callers that throw the log
+    away use the log-free ``_reduce``, which makes the same rewrites in
+    the same scan.
     """
     log: list = []
     nf = _reduce(w, sys, (), log)
@@ -293,8 +295,14 @@ def _reduce(
     reduction of ``word[:k]`` with every letter flipped, so ``inv[::-1]``
     is ``(word[:k])^-1``, and ``undo[i]`` says what consuming ``word[i]``
     did (-1: pushed, else the letter it cancelled).  A rewrite at ``pos``
-    leaves ``word[:pos]`` alone, so the state at ``k = pos`` stays valid
-    and moving the cursor to the next hit costs the distance moved.
+    leaves ``word[:pos]`` alone, so a cursor at ``k <= pos`` stays valid
+    and moving it to the next hit costs the distance moved.  A rewrite
+    by a rule with an empty log only pulls a cursor past ``pos`` back to
+    ``pos``, and builds nothing.  A rewrite by a rule with a non-empty
+    log moves the cursor to ``pos`` and builds the inverse prefix ``v``
+    once, as one tuple; each term ``(rho^e)^u`` of the rule's log is
+    appended as ``(rho^e)^{u v}``, the product cancelled at its seam as
+    ``free_multiply`` does and built with the trusted constructors.
     """
     alphabet = w.alphabet
     word = w.letters
@@ -337,14 +345,6 @@ def _reduce(
         if applied is not None:
             applied.add(rule.id)
         if log is not None:
-            while k < pos:
-                c = word[k]
-                if inv and inv[-1] == c:
-                    undo.append(inv.pop())
-                else:
-                    inv.append(c ^ 1)
-                    undo.append(-1)
-                k += 1
             while k > pos:
                 c = undo.pop()
                 if c < 0:
@@ -352,7 +352,31 @@ def _reduce(
                 else:
                     inv.append(c)
                 k -= 1
-            log.extend(act(rule.log, _group_word(alphabet, tuple(inv[::-1]))))
+            terms = rule.log
+            if terms:
+                while k < pos:
+                    c = word[k]
+                    if inv and inv[-1] == c:
+                        undo.append(inv.pop())
+                    else:
+                        inv.append(c ^ 1)
+                        undo.append(-1)
+                    k += 1
+                v = tuple(inv[::-1])
+                if v:
+                    n = len(v)
+                    for t in terms:
+                        # the term acted on by v: cancel at the seam, as
+                        # free_multiply does
+                        a = t.conjugator.letters
+                        i, j = len(a), 0
+                        while i and j < n and a[i - 1] ^ 1 == v[j]:
+                            i -= 1
+                            j += 1
+                        u = _group_word(alphabet, a[:i] + v[j:] if j else a + v)
+                        log.append(_yterm(t.relator, t.sign, u))
+                else:
+                    log.extend(terms)
         lhs, rhs = rule.lhs.letters, rule.rhs.letters
         word = word[:pos] + rhs + word[pos + len(lhs) :]
         if len(word) > REDUCE_MAX_WORD_LEN and len(rhs) > len(lhs):

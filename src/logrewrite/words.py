@@ -15,11 +15,15 @@ the ``mu`` translations) build their results through the trusted
 valid words over one alphabet, so every output code is valid too; and
 since a product of two reduced words can only cancel where they meet
 and the reversed flipped form of a reduced word is reduced, neither
-needs a full reduction pass.
+needs a full reduction pass.  The logged reducer (``rewriting._reduce``)
+builds the conjugators of its log terms through ``_group_word`` on the
+same grounds, and the terms themselves through the trusted
+``ysequences._yterm``.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator, Sequence
 
 POS = 1
@@ -281,10 +285,10 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
             raise WordError(f"bad token {raw!r}")
         exp = 1
         if caret:
-            try:
-                exp = int(exp_text)
-            except ValueError:
-                raise WordError(f"bad exponent in {raw!r}") from None
+            # int() alone would also take underscores and non-ASCII digits
+            if not re.fullmatch(r"[+-]?[0-9]+", exp_text):
+                raise WordError(f"bad exponent in {raw!r}")
+            exp = int(exp_text)
         if len(name) == 1 and name.isupper():
             name = name.lower()
             exp = -exp

@@ -7,6 +7,12 @@ product and ``()`` as the identity.  Sequences carry the logging
 information of every rewrite, and sequences with trivial boundary are
 identities among the relations.
 
+``YTerm(...)`` is the public constructor of a term.  The operations here
+(``act``, ``inverted``, conjugator stripping, the sandwich collapse and
+the exchange moves) and the logged reducer in ``rewriting`` build their
+terms through the trusted ``_yterm``, which skips the ``__init__`` call:
+their fields are a relator, a sign and a word the caller already holds.
+
 The module keeps no state between calls: boundaries and stripped
 conjugators are computed afresh each time, so nothing here grows with
 the number of presentations or terms a process has seen.
@@ -87,20 +93,50 @@ def _root_of(word: GroupWord) -> tuple[GroupWord, int]:
     raise AssertionError("unreachable: the word is its own root")
 
 
-@dataclass(frozen=True)
 class YTerm:
-    relator: RelatorRef
-    sign: int  # POS or NEG
-    conjugator: GroupWord
+    """A term ``(rho^e)^u``: a relator, a sign (POS or NEG) and a
+    conjugator.  Terms compare equal and hash on the three fields."""
+
+    __slots__ = ("relator", "sign", "conjugator")
+
+    def __init__(self, relator: RelatorRef, sign: int, conjugator: GroupWord):
+        self.relator = relator
+        self.sign = sign
+        self.conjugator = conjugator
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not YTerm:
+            return NotImplemented
+        return (self.relator, self.sign, self.conjugator) == (
+            other.relator, other.sign, other.conjugator
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.relator, self.sign, self.conjugator))
+
+    def __repr__(self) -> str:
+        return (
+            f"YTerm(relator={self.relator!r}, sign={self.sign!r}, "
+            f"conjugator={self.conjugator!r})"
+        )
 
     def inverted(self) -> "YTerm":
-        return YTerm(self.relator, -self.sign, self.conjugator)
+        return _yterm(self.relator, -self.sign, self.conjugator)
 
     def boundary(self) -> GroupWord:
         """``u^-1 w^e u`` for the relator word ``w``, computed each call."""
         w = self.relator.word if self.sign == POS else inverse(self.relator.word)
         u = self.conjugator
         return free_multiply(free_multiply(inverse(u), w), u)
+
+
+def _yterm(relator: RelatorRef, sign: int, conjugator: GroupWord) -> YTerm:
+    """Trusted constructor: a ``YTerm`` without the ``__init__`` call."""
+    t = object.__new__(YTerm)
+    t.relator = relator
+    t.sign = sign
+    t.conjugator = conjugator
+    return t
 
 
 # a Y-sequence is a tuple of YTerm; the name is kept for annotations
@@ -121,7 +157,7 @@ def act(s: YSequence, v: GroupWord) -> YSequence:
     if v.is_identity() or not s:
         return s
     return tuple(
-        [YTerm(t.relator, t.sign, free_multiply(t.conjugator, v)) for t in s]
+        [_yterm(t.relator, t.sign, free_multiply(t.conjugator, v)) for t in s]
     )
 
 
@@ -179,7 +215,7 @@ def _strip_conjugator(t: YTerm, use_root: bool) -> YTerm:
                 u = candidate
                 changed = True
                 break
-    return t if u == t.conjugator else YTerm(t.relator, t.sign, u)
+    return t if u == t.conjugator else _yterm(t.relator, t.sign, u)
 
 
 def _sandwich_once(terms: tuple, use_root: bool):
@@ -203,7 +239,7 @@ def _sandwich_once(terms: tuple, use_root: bool):
     shift = inverse(terms[i].boundary())
     middle = [
         _strip_conjugator(
-            YTerm(t.relator, t.sign, free_multiply(t.conjugator, shift)),
+            _yterm(t.relator, t.sign, free_multiply(t.conjugator, shift)),
             use_root,
         )
         for t in terms[i + 1 : j]
@@ -216,12 +252,12 @@ def _transpositions(terms: tuple, max_conj: int):
     for i in range(len(terms) - 1):
         a, b = terms[i], terms[i + 1]
         # move a rightwards: (a b) -> (b a^{delta b})
-        moved = YTerm(a.relator, a.sign, free_multiply(a.conjugator, b.boundary()))
+        moved = _yterm(a.relator, a.sign, free_multiply(a.conjugator, b.boundary()))
         moved = _strip_conjugator(moved, True)
         if len(moved.conjugator) <= max_conj:
             yield terms[:i] + (b, moved) + terms[i + 2 :]
         # move b leftwards: (a b) -> (b^{(delta a)^-1} a)
-        moved = YTerm(
+        moved = _yterm(
             b.relator, b.sign, free_multiply(b.conjugator, inverse(a.boundary()))
         )
         moved = _strip_conjugator(moved, True)

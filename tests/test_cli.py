@@ -165,7 +165,7 @@ class TestIdentities:
         assert code == 0
         lines = out.splitlines()
         assert len(lines) == 19  # header + 18 kept
-        assert "32 records, 18 kept" in err
+        assert "# 32 records, 18 kept, 0 too long for the primary test" in err
 
     def test_keep_all_shows_statuses(self, capsys, q8_file):
         code, out, _ = run(capsys, "identities", q8_file, "--keep-all")

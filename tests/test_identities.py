@@ -34,6 +34,7 @@ from logrewrite.words import (
 )
 from logrewrite.ysequences import (
     POS,
+    PRIMARY_MAX_TERMS,
     YSequence,
     YTerm,
     act,
@@ -191,6 +192,19 @@ class TestSimplifyIdentityList:
             render_ysequence(primary.sequence)
             == "(r2^-) (r1^-)^{a^-1} (r2^+)^{a^-1 a^-1 a^-1 a^-1} (r1^+)^{a^-1}"
         )
+
+    @pytest.mark.parametrize(
+        "text,records,too_long", [(Q8_TEXT, 32, 0), (S4_TEXT, 72, 10)],
+        ids=["q8", "s4"],
+    )
+    def test_records_too_long_for_primary(self, text, records, too_long):
+        result = identities_pipeline(parse_presentation(text))
+        assert len(result.records) == records
+        assert result.too_long_for_primary == too_long
+        # they skip the pairing search, so none of them is primary
+        long = [r for r in result.records if len(r.sequence) > PRIMARY_MAX_TERMS]
+        assert len(long) == too_long
+        assert all(r.status != PRIMARY for r in long)
 
     def test_single_trivial_record(self, q8, q8_system):
         graph = build_cayley_graph(q8_system)

@@ -81,6 +81,8 @@ class TestParseErrors:
             ("generators: a\nrelators:\n  r = a^2\ngenerators: b\n", 4),
             ("generators: a, b\nletters:\nrelators:\n  r = a^2\n", 2),
             ("generators: a\nrelators:\n  r1 = a^2\n  r2 = a^\n", 4),  # no exponent
+            ("generators: a\nrelators:\n  r = a^1_0\n", 3),  # not ASCII digits
+            ("generators: a\nrelators:\n  r = a^\u0663\n", 3),
         ],
     )
     def test_line_numbers(self, text, line):
@@ -132,6 +134,16 @@ class TestParseErrors:
         assert str(exc.value) == (
             "letter order a, b is not a permutation of the signed alphabet a, A, b, B"
         )
+
+    # the kind is the override's, not the letters line's
+    @pytest.mark.parametrize("letters", ["", "letters: a+, a-, b+, b-\n"])
+    def test_unknown_order_override_has_no_line(self, letters):
+        with pytest.raises(WordError) as exc:
+            parse_presentation(
+                f"generators: a, b\n{letters}", order_override="degree"
+            )
+        assert not isinstance(exc.value, ParseError)
+        assert str(exc.value) == "unknown ordering kind 'degree'"
 
     @pytest.mark.parametrize("override", ["", "  "])
     def test_empty_letters_override(self, override):

@@ -174,6 +174,21 @@ def _reduce_systems():
 
 REDUCE_SYSTEMS = _reduce_systems()
 
+A5_TEXT = """\
+generators: a, b
+order: shortlex
+relators:
+  r1 = a^2
+  r2 = b^3
+  r3 = a b a b a b a b a b
+"""
+
+# the four complete systems of the benchmark's reduce workload
+WORKLOAD_SYSTEMS = {
+    "a5": complete_presentation(parse_presentation(A5_TEXT)).final_system,
+    **{name: REDUCE_SYSTEMS[name] for name in ("d20", "trefoil", "z2")},
+}
+
 
 def sized_words_over(alphabet, max_size=200):
     """Words whose length is drawn uniformly from 0..max_size, so long
@@ -265,6 +280,17 @@ class TestResumingReduce:
     def test_same_rewrites_as_rescan(self, name, data):
         sys = REDUCE_SYSTEMS[name]
         w = data.draw(sized_words_over(sys.presentation.alphabet))
+        assert_same_as_rescan(data, w, sys)
+
+    # logs of up to 35 terms (A5), rules that lengthen the word
+    # (the trefoil's X -> xxYY) and rules with an empty log, which leave
+    # the inverse prefix where it is unless it lies past the rewrite
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_SYSTEMS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_workload_systems(self, name, data):
+        sys = WORKLOAD_SYSTEMS[name]
+        w = data.draw(sized_words_over(sys.presentation.alphabet, max_size=64))
         assert_same_as_rescan(data, w, sys)
 
     # both stopping rules: the first candidate when no lhs is a subword

@@ -230,7 +230,10 @@ class TestRendering:
         with pytest.raises(WordError):
             parse_group(AB, "c")
 
-    @pytest.mark.parametrize("text", ["a^", "b a^", "a^x", "ab^"])
+    # "a^1_0" and "a^\u0663" (Arabic-Indic three) are numbers to int()
+    @pytest.mark.parametrize(
+        "text", ["a^", "b a^", "a^x", "ab^", "a^1_0", "a^\u0663"]
+    )
     def test_bad_exponent(self, text):
         bad = text.split()[-1]
         for parse in (parse_group, parse_monoid):

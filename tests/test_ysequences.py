@@ -24,6 +24,7 @@ from logrewrite.ysequences import (
     YTerm,
     _sandwich_once,
     _strip_conjugator,
+    _yterm,
     act,
     boundary,
     cancel_adjacent,
@@ -87,6 +88,32 @@ class TestRelatorRef:
     def test_empty_relator_rejected(self):
         with pytest.raises(WordError):
             RelatorRef.make("bad", GroupWord(AB))
+
+
+class TestYTerm:
+    """A term is a value: equal and equally hashed when its relator, sign
+    and conjugator are, whichever constructor made it."""
+
+    def test_value_contract(self):
+        u = parse_group(AB, "a b^-1")
+        t = YTerm(R1, POS, u)
+        same = YTerm(R1, POS, parse_group(AB, "a b^-1"))
+        assert t == same and t is not same and hash(t) == hash(same)
+        assert _yterm(R1, POS, u) == t
+        assert t != YTerm(R1, NEG, u)
+        assert t != YTerm(R2, POS, u)
+        assert t != YTerm(R1, POS, GroupWord(AB))
+        assert t != (R1, POS, u) and t.__eq__((R1, POS, u)) is NotImplemented
+        # the hash a frozen dataclass of the three fields gives, so that
+        # sets and dicts of terms iterate in the same order
+        assert hash(t) == hash((R1, POS, u))
+        assert repr(t) == (
+            "YTerm(relator=RelatorRef(r1=a a a a), sign=1, "
+            "conjugator=GroupWord('a b^-1'))"
+        )
+        assert not hasattr(t, "__dict__")
+        assert t.inverted() == YTerm(R1, NEG, u)
+        assert (t.relator, t.sign, t.conjugator) == (R1, POS, u)
 
 
 class TestBoundary:
