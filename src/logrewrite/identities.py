@@ -38,7 +38,6 @@ from .words import (
 )
 from .ysequences import (
     NEG,
-    PRIMARY_MAX_TERMS,
     RelatorRef,
     YSequence,
     YTerm,
@@ -53,6 +52,10 @@ from .ysequences import (
 
 
 VERTEX_CAP = 10_000  # vertices the Cayley closure visits before it gives up
+# Only records of at most this many terms get the primary test.  The test
+# is linear, so the cap does not bound its cost: it pins the discard's
+# results, since lifting it makes a few longer records primary.
+PRIMARY_MAX_TERMS = 20
 
 
 class InfiniteGroupError(RuntimeError):
@@ -281,8 +284,8 @@ def simplify_identity_list(
     the same as scanning every vertex.
 
     The primary test reduces with ``graph.sys``, which is complete.
-    Records longer than ``PRIMARY_MAX_TERMS`` skip the pairing search and
-    are not primary (``PipelineResult.too_long_for_primary`` counts
+    Records longer than ``PRIMARY_MAX_TERMS`` are not tested and count
+    as not primary (``PipelineResult.too_long_for_primary`` counts
     them).  A shorter record with a non-trivial boundary makes the
     primary test raise ``WordError``.
     """
@@ -334,7 +337,7 @@ class PipelineResult:
     @property
     def too_long_for_primary(self) -> int:
         """The number of records longer than ``PRIMARY_MAX_TERMS``, which
-        skip the primary test and count as not primary."""
+        are not given the primary test and count as not primary."""
         return sum(len(r.sequence) > PRIMARY_MAX_TERMS for r in self.records)
 
 

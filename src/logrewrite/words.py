@@ -236,20 +236,6 @@ def inverse(w: GroupWord) -> GroupWord:
     return _group_word(w.alphabet, tuple([c ^ 1 for c in reversed(w.letters)]))
 
 
-def conjugate(w: GroupWord, by: GroupWord) -> GroupWord:
-    """``by^-1 * w * by`` in F(X)."""
-    return free_multiply(free_multiply(inverse(by), w), by)
-
-
-def power(w: GroupWord, n: int) -> GroupWord:
-    if n < 0:
-        return power(inverse(w), -n)
-    out = GroupWord(w.alphabet)
-    for _ in range(n):
-        out = free_multiply(out, w)
-    return out
-
-
 # -- textual rendering and parsing -------------------------------------------
 #
 # Monoid words render single-letter generators as `a` / `A` (uppercase for

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,9 +43,6 @@ from .words import (
 # Normal forms are annotated ``Callable[[MonoidWord], MonoidWord]`` in
 # signatures only: subscripting at import time would let typing's cache
 # keep every re-imported copy of ``logrewrite.words`` alive.
-
-# the pairing search of is_primary_identity is exponential in the term count
-PRIMARY_MAX_TERMS = 20
 
 # the budgets of simplify's best-first search
 SIMPLIFY_MAX_NODES = 3000
@@ -361,40 +359,30 @@ def is_primary_identity(
     nf: Callable[[MonoidWord], MonoidWord],
     alphabet: Alphabet,
 ) -> bool:
-    """True when the terms pair off as inverse relator instances whose
-    conjugator quotients lie in the normal closure of the relators.
+    """True when the terms pair off as ``(rho^e)^u``, ``(rho^-e)^v`` with
+    ``u = v`` in G; such an identity is trivial in the module of
+    identities.
 
-    The quotient test is decided with the normal form function of a
-    complete system for the same presentation.
+    "Same relator, and conjugators with one normal form under ``nf``" is
+    an equivalence relation on the terms.  Inside a class every positive
+    term pairs with every negative one, and no term pairs with a term of
+    another class, so the terms pair off exactly when each class has as
+    many positive terms as negative ones.  A relator's signs must balance
+    before any of its classes can, so they are counted first, with no
+    normal form.  ``nf`` is the normal form function of a complete system
+    for the same presentation.
     """
     if not boundary(s, alphabet).is_identity():
         raise WordError("primary identity test requires a boundary-trivial sequence")
-    n = len(s)
-    if n % 2:
+    by_relator = Counter()
+    for t in s:
+        by_relator[t.relator] += t.sign
+    if any(by_relator.values()):
         return False
-    if n == 0:
-        return True
-    if n > PRIMARY_MAX_TERMS:
-        raise WordError(f"sequence too long for the pairing search ({n} terms)")
-
-    def compatible(i: int, j: int) -> bool:
-        ti, tj = s[i], s[j]
-        if ti.relator != tj.relator or ti.sign != -tj.sign:
-            return False
-        q = free_multiply(ti.conjugator, inverse(tj.conjugator))
-        return len(nf(mu(q))) == 0
-
-    def match(unused: frozenset) -> bool:
-        if not unused:
-            return True
-        i = min(unused)
-        rest = unused - {i}
-        for j in rest:
-            if compatible(i, j) and match(rest - {j}):
-                return True
-        return False
-
-    return match(frozenset(range(n)))
+    by_class = Counter()
+    for t in s:
+        by_class[t.relator, nf(mu(t.conjugator)).letters] += t.sign
+    return not any(by_class.values())
 
 
 # -- rendering and parsing ---------------------------------------------------
@@ -430,16 +418,21 @@ def parse_ysequence(
             continue
         if text[pos] != "(":
             raise WordError(f"expected '(' at {text[pos:]!r}")
-        close = text.index(")", pos)
-        label, _, sign_text = text[pos + 1 : close].partition("^")
+        start = pos
+        close = text.find(")", start)
+        if close < 0:
+            raise WordError(f"unclosed term {text[start:]!r}")
+        label, _, sign_text = text[start + 1 : close].partition("^")
         if sign_text not in ("+", "-"):
-            raise WordError(f"bad sign in term {text[pos:close + 1]!r}")
+            raise WordError(f"bad sign in term {text[start:close + 1]!r}")
         if label not in relators:
             raise WordError(f"unknown relator {label!r}")
         conj = GroupWord(alphabet)
         pos = close + 1
         if text[pos : pos + 2] == "^{":
-            end = text.index("}", pos)
+            end = text.find("}", pos)
+            if end < 0:
+                raise WordError(f"unclosed term {text[start:]!r}")
             conj = parse_group(alphabet, text[pos + 2 : end])
             pos = end + 1
         terms.append(

@@ -12,7 +12,7 @@ from logrewrite.rewriting import (
     LoggedRewriteSystem,
     LoggedRule,
 )
-from logrewrite.words import GroupWord, MonoidWord, inverse
+from logrewrite.words import GroupWord, MonoidWord, free_multiply, inverse
 from logrewrite.ysequences import YSequence, act, peiffer_closure
 
 Q8_TEXT = """\
@@ -125,6 +125,21 @@ def rescan_reduce(w, sys, max_steps=REDUCE_MAX_STEPS, rightmost=False, *, exclud
         prefix = GroupWord(w.alphabet, word[:pos])
         log_terms.extend(act(rule.log, inverse(prefix)))
         word = word[:pos] + rule.rhs.letters + word[pos + len(rule.lhs.letters) :]
+
+
+def conjugate(w, by):
+    """Reference free-group helper: ``by^-1 w by``."""
+    return free_multiply(free_multiply(inverse(by), w), by)
+
+
+def power(w, n):
+    """Reference free-group helper: ``w^n`` for any integer ``n``."""
+    if n < 0:
+        w, n = inverse(w), -n
+    out = GroupWord(w.alphabet)
+    for _ in range(n):
+        out = free_multiply(out, w)
+    return out
 
 
 def brief(word):

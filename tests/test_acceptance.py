@@ -35,7 +35,7 @@ from logrewrite.ysequences import (
     simplify,
 )
 
-from tests.conftest import ABELIAN_TEXT, Q8_TEXT, TREFOIL_TEXT, rescan_reduce
+from tests.conftest import ABELIAN_TEXT, Q8_TEXT, TREFOIL_TEXT, power, rescan_reduce
 
 
 class gate:
@@ -206,7 +206,6 @@ def test_criterion_5_abelian():
             s = identity_for(system, g, rho)
             assert not simplify(s), (n, m)
         # k1[x^n y^m, x] for m in 1..3: m terms (r^-)^{y^-j x^-n}
-        from logrewrite.words import power
         from logrewrite.ysequences import NEG
 
         for n, m in product(range(-3, 4), range(1, 4)):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logrewrite.identities import (
     CONJUGATE_DUP,
@@ -6,6 +7,7 @@ from logrewrite.identities import (
     INVERSE_DUP,
     KEPT,
     PRIMARY,
+    PRIMARY_MAX_TERMS,
     TRIVIAL,
     IdentityRecord,
     InfiniteGroupError,
@@ -24,9 +26,9 @@ from logrewrite.rewriting import complete_presentation, logged_reduce, normal_fo
 from logrewrite.words import (
     GroupWord,
     WordError,
-    conjugate,
     free_multiply,
     inverse,
+    mu,
     mu_inverse,
     parse_group,
     parse_monoid,
@@ -34,7 +36,6 @@ from logrewrite.words import (
 )
 from logrewrite.ysequences import (
     POS,
-    PRIMARY_MAX_TERMS,
     YSequence,
     YTerm,
     act,
@@ -49,7 +50,7 @@ from logrewrite.ysequences import (
     simplify,
 )
 
-from tests.conftest import ABELIAN_TEXT, Q8_TEXT
+from tests.conftest import ABELIAN_TEXT, Q8_TEXT, conjugate, power
 
 C3_TEXT = "generators: a\nrelators:\n  r = a^3\n"
 TRIVIAL_TEXT = "generators: x\nrelators:\n  r = x\n"
@@ -201,7 +202,7 @@ class TestSimplifyIdentityList:
         result = identities_pipeline(parse_presentation(text))
         assert len(result.records) == records
         assert result.too_long_for_primary == too_long
-        # they skip the pairing search, so none of them is primary
+        # they are not given the primary test, so none of them is primary
         long = [r for r in result.records if len(r.sequence) > PRIMARY_MAX_TERMS]
         assert len(long) == too_long
         assert all(r.status != PRIMARY for r in long)
@@ -230,11 +231,40 @@ class TestSimplifyIdentityList:
         assert render(a) == render(b)
 
 
+def pairing_search(s, nf):
+    """The primary test as a backtracking search for a pairing of the
+    terms into ``(rho^e)^u``, ``(rho^-e)^v`` with ``u = v`` in G.
+    Exponential in the term count; kept as the reference for
+    is_primary_identity."""
+    n = len(s)
+    if n % 2:
+        return False
+
+    def compatible(i, j):
+        ti, tj = s[i], s[j]
+        if ti.relator != tj.relator or ti.sign != -tj.sign:
+            return False
+        q = free_multiply(ti.conjugator, inverse(tj.conjugator))
+        return len(nf(mu(q))) == 0
+
+    def match(unused):
+        if not unused:
+            return True
+        i = min(unused)
+        rest = unused - {i}
+        for j in rest:
+            if compatible(i, j) and match(rest - {j}):
+                return True
+        return False
+
+    return match(frozenset(range(n)))
+
+
 def translate_scan(records, graph):
     """The discard as it was before the orbit-key lookup: act each record
     and its inverse by every non-trivial vertex word and scan the kept
-    forms.  Kept as the reference for simplify_identity_list."""
-    alphabet = graph.sys.presentation.alphabet
+    forms, with the pairing search as the primary test.  Kept as the
+    reference for simplify_identity_list."""
     nf = normal_form_fn(graph.sys)
     ordered = sorted(records, key=_sort_key)
     kept_forms = []
@@ -244,11 +274,7 @@ def translate_scan(records, graph):
         if not seq:
             rec.status = TRIVIAL
             continue
-        try:
-            primary = is_primary_identity(seq, nf, alphabet)
-        except WordError:
-            primary = False
-        if primary:
+        if len(seq) <= PRIMARY_MAX_TERMS and pairing_search(seq, nf):
             rec.status = PRIMARY
             continue
         if seq in kept_forms:
@@ -357,6 +383,35 @@ class TestDiscardCases:
             simplify_identity_list([rec], graph)
 
 
+class TestPrimaryMatchesPairingSearch:
+    """``s + invert(act(s, v))`` for a short record ``s`` pairs off term by
+    term when ``v = 1`` in G, and may or may not pair off otherwise."""
+
+    @pytest.fixture(scope="class", params=[Q8_TEXT, S4_TEXT], ids=["q8", "s4"])
+    def setting(self, request):
+        result = identities_pipeline(parse_presentation(request.param))
+        short = [r.sequence for r in result.records if 0 < len(r.sequence) <= 10]
+        return result.graph.sys.presentation, normal_form_fn(result.graph.sys), short
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_doubled_records(self, setting, data):
+        p, nf, short = setting
+        s = data.draw(st.sampled_from(short))
+        letters = st.integers(min_value=0, max_value=2 * len(p.alphabet) - 1)
+        u = GroupWord(p.alphabet, data.draw(st.lists(letters, max_size=6)))
+        trivial = data.draw(st.booleans())
+        if trivial:
+            rho = data.draw(st.sampled_from(p.relators))
+            v = conjugate(power(rho.word, data.draw(st.sampled_from([1, -1]))), u)
+        else:
+            v = u
+        seq = s + invert(act(s, v))
+        primary = is_primary_identity(seq, nf, p.alphabet)
+        assert primary == pairing_search(seq, nf)
+        assert primary or not trivial
+
+
 class TestSampledApi:
     def test_abelian_identities_trivial(self, abelian, abelian_system):
         rho = abelian.relators[0]
@@ -442,7 +497,6 @@ def test_ysequences_are_plain_tuples(producer, q8, q8_report, q8_graph):
 
 
 def conjugate_text(al, j, n):
-    from logrewrite.words import power
     from logrewrite.ysequences import YTerm, NEG
 
     conj = free_multiply(

@@ -11,7 +11,6 @@ from logrewrite.words import (
     GroupWord,
     MonoidWord,
     WordError,
-    conjugate,
     flip,
     free_multiply,
     gen_index,
@@ -20,7 +19,6 @@ from logrewrite.words import (
     mu_inverse,
     parse_group,
     parse_monoid,
-    power,
     render_group,
     render_monoid,
     sign_of,
@@ -100,12 +98,6 @@ class TestGroupWord:
         u = parse_group(AB, "a b")
         v = parse_group(AB, "b^-1 a")
         assert free_multiply(u, v) == parse_group(AB, "a a")
-
-    def test_power_and_conjugate(self):
-        a = parse_group(AB, "a")
-        assert render_group(power(a, 3)) == "a a a"
-        assert power(a, -2) == parse_group(AB, "a^-2")
-        assert conjugate(parse_group(AB, "b"), a) == parse_group(AB, "a^-1 b a")
 
     def test_mu_is_letterwise(self):
         w = parse_group(AB, "a^-1 b")

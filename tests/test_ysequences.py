@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,11 +11,9 @@ from logrewrite.words import (
     Alphabet,
     GroupWord,
     WordError,
-    conjugate,
     free_multiply,
     inverse,
     parse_group,
-    power,
 )
 from logrewrite.ysequences import (
     NEG,
@@ -35,6 +34,8 @@ from logrewrite.ysequences import (
     root_normalize,
     simplify,
 )
+
+from tests.conftest import conjugate
 
 AB = Alphabet(["a", "b"])
 R1 = RelatorRef.make("r1", parse_group(AB, "a^4"))
@@ -373,25 +374,34 @@ class TestPrimaryIdentity:
         )
         assert not is_primary_identity(not_primary, nf, AB)
 
-    def test_odd_length_never_primary(self):
+    def test_nontrivial_boundary_rejected(self):
         from logrewrite.ysequences import is_primary_identity
 
         nf = self._nf()
-        with pytest.raises(WordError):
-            # non-trivial boundary is rejected outright
+        with pytest.raises(WordError, match="boundary-trivial"):
             is_primary_identity(
                 YSequence([YTerm(R1, POS, GroupWord(AB))]), nf, AB
             )
 
-    def test_too_long_for_the_pairing_search(self):
-        from logrewrite.ysequences import PRIMARY_MAX_TERMS, is_primary_identity
+    def test_odd_length_never_primary(self):
+        from logrewrite import complete_presentation, parse_presentation
+        from logrewrite.rewriting import normal_form_fn
+        from logrewrite.ysequences import is_primary_identity
+
+        p = parse_presentation("generators: a\nrelators:\n  r1 = a^2\n  r2 = a^4\n")
+        nf = normal_form_fn(complete_presentation(p).final_system)
+        relators = {r.label: r for r in p.relators}
+        s = parse_ysequence("(r2^-) (r1^+) (r1^+)", relators, p.alphabet)
+        assert boundary(s, p.alphabet).is_identity()
+        assert not is_primary_identity(s, nf, p.alphabet)
+
+    def test_long_sequence_primary(self):
+        from logrewrite.ysequences import is_primary_identity
 
         t = YTerm(R1, POS, GroupWord(AB))
         s = YSequence([t, t.inverted()] * 11)
-        assert len(s) == 22 > PRIMARY_MAX_TERMS
-        assert boundary(s, AB).is_identity()
-        with pytest.raises(WordError, match="too long"):
-            is_primary_identity(s, self._nf(), AB)
+        assert len(s) == 22
+        assert is_primary_identity(s, self._nf(), AB)
 
 
 class TestRendering:
@@ -409,3 +419,6 @@ class TestRendering:
             parse_ysequence("(r9^+)", RELATORS, AB)
         with pytest.raises(WordError):
             parse_ysequence("(r1)", RELATORS, AB)
+        for text in ("(r1^+", "(r1^+)^{a"):
+            with pytest.raises(WordError, match=re.escape(f"unclosed term {text!r}")):
+                parse_ysequence(text, RELATORS, AB)
