@@ -29,6 +29,7 @@ from .rewriting import (
     Limits,
     complete_presentation,
     logged_reduce,
+    require_complete,
 )
 from .words import WordError, mu, parse_group, render_group, render_monoid
 from .ysequences import render_ysequence, simplify
@@ -94,11 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_kone = sub.add_parser("kone", help="k1 on every edge of the Cayley graph")
     common(p_kone)
     p_kone.add_argument("--vertex-cap", type=_positive_int, default=VERTEX_CAP)
-
-    # identities_pipeline normalises its logs itself, so it takes no flag
-    for p in (p_complete, p_reduce, p_kone):
-        p.add_argument("--raw-logs", action="store_true",
-                       help="skip Peiffer normalisation of rule logs")
     return parser
 
 
@@ -117,18 +113,8 @@ def _load(args: argparse.Namespace):
 
 
 def _complete_or_die(p, args):
-    report = complete_presentation(p, _limits(args), raw_logs=args.raw_logs)
-    if not report.final_system.complete:
-        tail = report.final_system.rules_by_id()[-5:]
-        lines = "\n".join(
-            f"  {render_monoid(r.lhs)} -> {render_monoid(r.rhs)}" for r in tail
-        )
-        raise BudgetError(
-            f"completion stopped ({report.stopped}) after {report.passes} "
-            "passes; last rules added:\n"
-            + lines
-            + "\nconsider another ordering (--order/--letter-order) or higher limits"
-        )
+    report = complete_presentation(p, _limits(args))
+    require_complete(report)
     return report
 
 

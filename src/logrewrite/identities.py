@@ -23,6 +23,7 @@ from .rewriting import (
     complete_presentation,
     logged_reduce,
     normal_form_fn,
+    require_complete,
 )
 from .words import (
     GroupWord,
@@ -347,13 +348,10 @@ def identities_pipeline(
     vertex_cap: int = VERTEX_CAP,
 ) -> PipelineResult:
     """Completion, Cayley graph, one identity per (vertex, relator) pair,
-    then the discard pipeline."""
+    then the discard pipeline.  Raises ``BudgetError`` when completion
+    stops before the system is complete (``require_complete``)."""
     report = complete_presentation(p, limits)
-    if not report.final_system.complete:
-        raise WordError(
-            f"completion stopped ({report.stopped}); adjust the ordering or limits"
-        )
-    sys = report.final_system
+    sys = require_complete(report)
     graph = build_cayley_graph(sys, vertex_cap)
     records = [
         IdentityRecord(g, rho, separation_identity(g, rho, graph))

@@ -23,12 +23,6 @@ class Presentation:
     relators: tuple[RelatorRef, ...]
     order: OrderSpec
 
-    def relator(self, label: str) -> RelatorRef:
-        for rho in self.relators:
-            if rho.label == label:
-                return rho
-        raise WordError(f"unknown relator {label!r}")
-
     def relator_map(self) -> dict[str, RelatorRef]:
         return {rho.label: rho for rho in self.relators}
 

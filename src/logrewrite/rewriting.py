@@ -28,6 +28,7 @@ from .words import (
     inverse,
     mu,
     mu_inverse,
+    render_monoid,
 )
 from .ysequences import (
     POS,
@@ -68,8 +69,8 @@ class LoggedRule:
     closes it with ``peiffer_closure`` on the first read of ``log``,
     which keeps the result.  Most formed rules are removed before
     anything reads their log.  Every other rule's ``log`` is its
-    ``raw_log``: the initial rules, a rule built with ``LoggedRule(...)``
-    and every rule of a completion with ``raw_logs=True``.
+    ``raw_log``: the initial rules and a rule built with
+    ``LoggedRule(...)``.
     """
 
     __slots__ = ("lhs", "raw_log", "rhs", "id", "_log")
@@ -107,21 +108,16 @@ class LoggedRule:
 
     def holds(self) -> bool:
         """The defining identity l = (delta c) r in F(X)."""
-        lhs = mu_inverse(self.lhs)
-        rhs = free_multiply(
-            boundary(self.log, self.lhs.alphabet), mu_inverse(self.rhs)
-        )
-        return lhs == rhs
+        delta = boundary(self.log, self.lhs.alphabet)
+        return mu_inverse(self.lhs) == free_multiply(delta, mu_inverse(self.rhs))
 
 
 def _formed_rule(
-    lhs: MonoidWord, raw: YSequence, rhs: MonoidWord, rule_id: int, raw_logs: bool
+    lhs: MonoidWord, raw: YSequence, rhs: MonoidWord, rule_id: int
 ) -> LoggedRule:
-    """A rule completion forms: its log is ``raw``, closed on the first
-    read unless ``raw_logs``."""
+    """A rule completion forms: its log is ``raw``, closed on first read."""
     rule = LoggedRule(lhs, raw, rhs, rule_id)
-    if not raw_logs:
-        object.__setattr__(rule, "_log", None)
+    object.__setattr__(rule, "_log", None)
     return rule
 
 
@@ -573,7 +569,7 @@ class CompletionReport:
 
 
 def complete_presentation(
-    p: Presentation, limits: Limits = Limits(), *, raw_logs: bool = False
+    p: Presentation, limits: Limits = Limits()
 ) -> CompletionReport:
     """Complete the initial logged system of ``p``, harvesting an identity
     from every resolved critical pair.
@@ -595,8 +591,8 @@ def complete_presentation(
     A log is built only for a pair that makes a new rule, whose log is
     the rule's certificate; whether a pair resolves is decided by its
     two normal forms alone.  A new rule's log is closed with
-    ``peiffer_closure`` when it is first read (``LoggedRule``), and never
-    with ``raw_logs``: most new rules are removed unread.
+    ``peiffer_closure`` when it is first read (``LoggedRule``): most new
+    rules are removed unread.
     """
     sys = initial_logged_system(p)
     report = CompletionReport(final_system=sys)
@@ -638,7 +634,7 @@ def complete_presentation(
                 lhs, log, rhs = result.z, invert(result.log), result.zprime
             else:  # pragma: no cover - z != z' guaranteed by process_overlap
                 raise AssertionError("unordered critical pair")
-            new_rules.append(_formed_rule(lhs, log, rhs, next_id, raw_logs))
+            new_rules.append(_formed_rule(lhs, log, rhs, next_id))
             next_id += 1
         report._harvest.append((sys, joined))
         if new_rules:
@@ -647,7 +643,7 @@ def complete_presentation(
         if len(sys.rules) > limits.max_rules:
             report.stopped = MAX_RULES
             break
-        sys, removed = _interreduce(sys, raw_logs=raw_logs)
+        sys, removed = _interreduce(sys)
         report.rules_removed += removed
         if new_rules or removed:
             frontier = {r.id for r in new_rules}
@@ -662,9 +658,24 @@ def complete_presentation(
     return report
 
 
-def _interreduce(
-    sys: LoggedRewriteSystem, *, raw_logs: bool
-) -> tuple[LoggedRewriteSystem, int]:
+def require_complete(report: CompletionReport) -> LoggedRewriteSystem:
+    """The final system of ``report`` if it is complete; else raises
+    ``BudgetError`` with why and when completion stopped and its last
+    five rules."""
+    sys = report.final_system
+    if sys.complete:
+        return sys
+    tail = "".join(
+        f"\n  {render_monoid(r.lhs)} -> {render_monoid(r.rhs)}" for r in sys.rules[-5:]
+    )
+    raise BudgetError(
+        f"completion stopped ({report.stopped}) after {report.passes} passes; "
+        f"last rules added:{tail}\n"
+        "consider another ordering (--order/--letter-order) or higher limits"
+    )
+
+
+def _interreduce(sys: LoggedRewriteSystem) -> tuple[LoggedRewriteSystem, int]:
     """Remove joinable redundant rules and normalise right-hand sides;
     returns the last system built and the number of rules removed.
 
@@ -711,7 +722,7 @@ def _interreduce(
             skip.discard(rule.id)
             if z2 == rule.rhs:
                 continue
-            new = _formed_rule(rule.lhs, rule.log + tuple(d2), z2, rule.id, raw_logs)
+            new = _formed_rule(rule.lhs, rule.log + tuple(d2), z2, rule.id)
             sys = sys.replaced(rule, new)
         for d in waiting.pop(rule.id, ()):
             if rule.id in unresolved.get(d, ()):

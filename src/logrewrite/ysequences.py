@@ -13,7 +13,8 @@ the exchange moves) and the logged reducer in ``rewriting`` build their
 terms through the trusted ``_yterm``, which skips the ``__init__`` call:
 their fields are a relator, a sign and a word the caller already holds.
 
-The module keeps no state between calls: boundaries and stripped
+The module keeps no state between calls: boundaries (:func:`boundary`,
+one free reduction over the letters of all the terms) and stripped
 conjugators are computed afresh each time, so nothing here grows with
 the number of presentations or terms a process has seen.
 """
@@ -33,6 +34,8 @@ from .words import (
     NEG,
     POS,
     WordError,
+    _group_word,
+    _reduce,
     free_multiply,
     inverse,
     mu,
@@ -121,12 +124,6 @@ class YTerm:
     def inverted(self) -> "YTerm":
         return _yterm(self.relator, -self.sign, self.conjugator)
 
-    def boundary(self) -> GroupWord:
-        """``u^-1 w^e u`` for the relator word ``w``, computed each call."""
-        w = self.relator.word if self.sign == POS else inverse(self.relator.word)
-        u = self.conjugator
-        return free_multiply(free_multiply(inverse(u), w), u)
-
 
 def _yterm(relator: RelatorRef, sign: int, conjugator: GroupWord) -> YTerm:
     """Trusted constructor: a ``YTerm`` without the ``__init__`` call."""
@@ -142,12 +139,18 @@ YSequence = tuple
 
 
 def boundary(s: YSequence, alphabet: Alphabet) -> GroupWord:
-    """The image in F(X): the product of the conjugated relator words
-    (the identity of ``alphabet`` for the empty sequence)."""
-    out = GroupWord(alphabet)
+    """The image in F(X): the product of every term's ``u^-1 w^e u``
+    (the identity of ``alphabet`` for the empty sequence).  The letters
+    of all the factors go through one free reduction (``words._reduce``),
+    so the cost is linear in the letters."""
+    letters: list[int] = []
     for t in s:
-        out = free_multiply(out, t.boundary())
-    return out
+        u = t.conjugator.letters
+        w = t.relator.word.letters
+        letters += [c ^ 1 for c in reversed(u)]
+        letters += w if t.sign == POS else [c ^ 1 for c in reversed(w)]
+        letters += u
+    return _group_word(alphabet, _reduce(letters))
 
 
 def act(s: YSequence, v: GroupWord) -> YSequence:
@@ -234,7 +237,7 @@ def _sandwich_once(terms: tuple, use_root: bool):
     if first is None:
         return None
     i, j = first
-    shift = inverse(terms[i].boundary())
+    shift = inverse(boundary((terms[i],), terms[i].conjugator.alphabet))
     middle = [
         _strip_conjugator(
             _yterm(t.relator, t.sign, free_multiply(t.conjugator, shift)),
@@ -249,15 +252,16 @@ def _transpositions(terms: tuple, max_conj: int):
     """Neighbours under the Peiffer exchange rule, both directions."""
     for i in range(len(terms) - 1):
         a, b = terms[i], terms[i + 1]
+        alphabet = a.conjugator.alphabet
         # move a rightwards: (a b) -> (b a^{delta b})
-        moved = _yterm(a.relator, a.sign, free_multiply(a.conjugator, b.boundary()))
+        shift = boundary((b,), alphabet)
+        moved = _yterm(a.relator, a.sign, free_multiply(a.conjugator, shift))
         moved = _strip_conjugator(moved, True)
         if len(moved.conjugator) <= max_conj:
             yield terms[:i] + (b, moved) + terms[i + 2 :]
         # move b leftwards: (a b) -> (b^{(delta a)^-1} a)
-        moved = _yterm(
-            b.relator, b.sign, free_multiply(b.conjugator, inverse(a.boundary()))
-        )
+        shift = inverse(boundary((a,), alphabet))
+        moved = _yterm(b.relator, b.sign, free_multiply(b.conjugator, shift))
         moved = _strip_conjugator(moved, True)
         if len(moved.conjugator) <= max_conj:
             yield terms[:i] + (moved, a) + terms[i + 2 :]

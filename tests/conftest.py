@@ -151,7 +151,7 @@ def brief(word):
     return f"{head!r}… ({len(word.letters)} letters)"
 
 
-def restart_interreduce(sys, *, raw_logs):
+def restart_interreduce(sys):
     """Reference interreduction: test the rules newest first against the
     others, and after every removal or new rhs build a new system and
     start again from its newest rule.  Returns the last system and the
@@ -172,9 +172,7 @@ def restart_interreduce(sys, *, raw_logs):
                 z2 = rewriting._reduce(rule.rhs, sys, (rule.id,), d2)
                 if z2 == rule.rhs:
                     continue
-                log = rule.log + tuple(d2)
-                if not raw_logs:
-                    log = peiffer_closure(log)
+                log = peiffer_closure(rule.log + tuple(d2))
                 kept = [LoggedRule(rule.lhs, log, z2, rule.id)]
             rules = rules[:i] + kept + rules[i + 1 :]
             sys = LoggedRewriteSystem(sys.presentation, rules)

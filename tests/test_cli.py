@@ -15,6 +15,18 @@ from tests.conftest import Q8_TEXT, TREFOIL_TEXT
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# what every command prints when the trefoil's completion stops after
+# four shortlex passes
+STOPPED_TREFOIL = """\
+error: completion stopped (max_passes) after 4 passes; last rules added:
+  Xyxyy -> xxyx
+  Xyxx -> xxyX
+  YYx -> XX
+  Yxyy -> yx
+  Yxx -> yX
+consider another ordering (--order/--letter-order) or higher limits
+"""
+
 
 @pytest.fixture(scope="module")
 def q8_file(tmp_path_factory):
@@ -143,14 +155,6 @@ class TestKone:
         row = next(l for l in lines if l.startswith("[aa, b]"))
         assert "(r4^+)" in row
 
-    def test_raw_logs_differ(self, capsys, q8_file):
-        _, normalised, _ = run(capsys, "kone", q8_file)
-        code, raw, _ = run(capsys, "kone", q8_file, "--raw-logs")
-        assert code == 0
-        assert raw != normalised
-        row = next(l for l in raw.splitlines() if l.startswith("[b, a]"))
-        assert row.endswith("(r1^-) (r3^+)^{a^-1 a^-1 a^-1} (r4^+)^{a^-1}")
-
     def test_infinite_group(self, capsys, abelian_file):
         code, _, err = run(
             capsys, "kone", abelian_file, "--vertex-cap", "50"
@@ -180,12 +184,6 @@ class TestIdentities:
             main(["identities", q8_file, "--emit", "k1"])
         assert exc.value.code == 2
 
-    def test_raw_logs_rejected(self, capsys, q8_file):
-        # the pipeline normalises its logs, so the flag would be ignored
-        with pytest.raises(SystemExit) as exc:
-            main(["identities", q8_file, "--raw-logs"])
-        assert exc.value.code == 2
-
     def test_json(self, capsys, q8_file):
         code, out, _ = run(
             capsys, "identities", q8_file, "--format", "json", "--keep-all"
@@ -205,6 +203,20 @@ class TestIdentities:
         )
         assert code == 1
         assert "identity_for" in err
+
+    def test_stopped_completion(self, capsys, trefoil_file):
+        # the trefoil does not complete under shortlex; identities
+        # reports the stop as complete, reduce and kone do
+        limits = ("--order", "shortlex", "--max-passes", "4")
+        code, out, err = run(capsys, "identities", trefoil_file, *limits)
+        assert (code, out) == (1, "")
+        assert err == STOPPED_TREFOIL
+        for argv in (
+            ("complete", trefoil_file),
+            ("reduce", trefoil_file, "x"),
+            ("kone", trefoil_file),
+        ):
+            assert run(capsys, *argv, *limits) == (1, "", err)
 
 
 class TestPlumbing:
@@ -237,6 +249,18 @@ class TestPlumbing:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"argument {flag}: not a positive integer: '{value}'" in err
+
+    # there is one log form, so no command takes a flag to choose it
+    @pytest.mark.parametrize(
+        "argv",
+        [["complete"], ["reduce", "a b"], ["identities"], ["kone"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_raw_logs_rejected(self, capsys, q8_file, argv):
+        command, *rest = argv
+        with pytest.raises(SystemExit) as exc:
+            main([command, q8_file, *rest, "--raw-logs"])
+        assert exc.value.code == 2
 
     def test_unknown_flag(self, capsys, q8_file):
         with pytest.raises(SystemExit) as exc:

@@ -143,7 +143,7 @@ class TestK1Values:
 
 class TestRelatorCycles:
     def test_q8_ab_r3_cycle(self, q8, q8_graph):
-        rho = q8.relator("r3")
+        rho = q8.relator_map()["r3"]
         base = parse_monoid(q8.alphabet, "ab")
         path = relator_cycle_edges(base, rho, q8_graph)
         rendered = [
@@ -437,7 +437,7 @@ class TestSampledApi:
                 assert got == expected
 
     def test_q8_sampled_matches_pipeline(self, q8, q8_system, q8_pipeline):
-        rho = q8.relator("r4")
+        rho = q8.relator_map()["r4"]
         g = parse_group(q8.alphabet, "a a")
         s = identity_for(q8_system, g, rho)
         assert boundary(s, q8.alphabet).is_identity()

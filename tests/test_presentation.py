@@ -19,19 +19,19 @@ class TestParsing:
         p = parse_presentation(Q8_TEXT)
         assert p.alphabet.names == ("a", "b")
         assert [r.label for r in p.relators] == ["r1", "r2", "r3", "r4"]
-        assert p.relator("r3").word == parse_group(p.alphabet, "a b a b^-1")
+        assert p.relator_map()["r3"].word == parse_group(p.alphabet, "a b a b^-1")
         assert p.order.kind == "shortlex"
 
     def test_trefoil_declares_syllable(self):
         p = parse_presentation(TREFOIL_TEXT)
         assert p.order.kind == "syllable"
-        assert p.relator("r").word == parse_group(p.alphabet, "x^3 y^-2")
+        assert p.relator_map()["r"].word == parse_group(p.alphabet, "x^3 y^-2")
 
     def test_relator_words_freely_reduced(self):
         p = parse_presentation(
             "generators: a\nrelators:\n  r = a a^-1 a a a\n"
         )
-        assert p.relator("r").word == parse_group(p.alphabet, "a^3")
+        assert p.relator_map()["r"].word == parse_group(p.alphabet, "a^3")
 
     def test_comments_and_blank_lines(self):
         text = "# header\ngenerators: a  # trailing\n\nrelators:\n  r = a^2\n"

@@ -22,6 +22,7 @@ from logrewrite.rewriting import (
     logged_reduce,
     normal_form_fn,
     process_overlap,
+    require_complete,
 )
 from logrewrite.words import (
     MonoidWord,
@@ -331,36 +332,35 @@ class TestInterreduce:
     a system for every change and re-tests every rule after it."""
 
     @staticmethod
-    def assert_same_as_restart(p, raw_logs):
+    def assert_same_as_restart(p):
         """On every system completion hands to interreduction (at most
         five passes and 80 rules), the same rules and removed count."""
         handed = []
         interreduce = rewriting._interreduce
 
-        def record(sys, *, raw_logs):
+        def record(sys):
             handed.append(sys)
-            return interreduce(sys, raw_logs=raw_logs)
+            return interreduce(sys)
 
         limits = Limits(max_rules=80, max_passes=5)
         with mock.patch.object(rewriting, "_interreduce", record):
             try:
-                complete_presentation(p, limits, raw_logs=raw_logs)
+                complete_presentation(p, limits)
             except BudgetError:
                 reject()
         for sys in handed:
-            got, removed = interreduce(sys, raw_logs=raw_logs)
-            want, want_removed = restart_interreduce(sys, raw_logs=raw_logs)
+            got, removed = interreduce(sys)
+            want, want_removed = restart_interreduce(sys)
             assert removed == want_removed
             assert list(map(_rule_key, got.rules)) == list(
                 map(_rule_key, want.rules)
             )
 
-    @pytest.mark.parametrize("raw_logs", [False, True])
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_same_as_restart(self, raw_logs, data):
+    def test_same_as_restart(self, data):
         p = data.draw(random_initial_systems()).presentation
-        self.assert_same_as_restart(p, raw_logs)
+        self.assert_same_as_restart(p)
 
     # one-relator groups in which a cached unresolved outcome must be
     # re-tested: after a removal, and after a new rhs, of a rule it applied
@@ -372,10 +372,9 @@ class TestInterreduce:
         ],
         ids=["removal", "new-rhs"],
     )
-    @pytest.mark.parametrize("raw_logs", [False, True])
-    def test_cached_outcomes_re_tested(self, generators, relator, raw_logs):
+    def test_cached_outcomes_re_tested(self, generators, relator):
         text = f"generators: {generators}\nrelators:\n  r1 = {relator}\n"
-        self.assert_same_as_restart(parse_presentation(text), raw_logs)
+        self.assert_same_as_restart(parse_presentation(text))
 
     def test_new_rhs_reuses_the_automaton(self, q8_system):
         for old in q8_system.rules:
@@ -394,7 +393,7 @@ class TestInterreduce:
             ]
 
     def test_unchanged_system_is_kept(self, q8_system):
-        assert rewriting._interreduce(q8_system, raw_logs=False) == (q8_system, 0)
+        assert rewriting._interreduce(q8_system) == (q8_system, 0)
 
 
 SHORTER_FIRST_TEXT = """\
@@ -736,11 +735,26 @@ class TestCompletion:
         assert report.stopped == MAX_RULES
         assert report.passes <= Limits.max_passes
 
-    def test_raw_logs_variant_still_completes(self, q8):
-        report = complete_presentation(q8, raw_logs=True)
-        sys = report.final_system
-        assert sys.complete and len(sys.rules) == 16
-        assert all(r.holds() for r in sys.rules)
+    def test_stopped_completion_diagnostic(self, q8_report):
+        assert require_complete(q8_report) is q8_report.final_system
+        # the trefoil does not complete under shortlex; the pipeline
+        # raises the same error as require_complete
+        p = parse_presentation(TREFOIL_TEXT, order_override="shortlex")
+        limits = Limits(max_passes=4)
+        with pytest.raises(BudgetError) as exc:
+            require_complete(complete_presentation(p, limits))
+        assert str(exc.value) == (
+            "completion stopped (max_passes) after 4 passes; last rules added:\n"
+            "  Xyxyy -> xxyx\n"
+            "  Xyxx -> xxyX\n"
+            "  YYx -> XX\n"
+            "  Yxyy -> yx\n"
+            "  Yxx -> yX\n"
+            "consider another ordering (--order/--letter-order) or higher limits"
+        )
+        with pytest.raises(BudgetError) as again:
+            identities_pipeline(p, limits)
+        assert str(again.value) == str(exc.value)
 
     def test_deterministic(self, q8, q8_system):
         again = complete_presentation(q8).final_system
@@ -919,21 +933,16 @@ class TestCompletionWork:
     removal or new rhs (552 at one system per change), and closes only
     the logs it reads."""
 
-    @pytest.mark.parametrize("raw_logs", [False, True])
-    def test_s5(self, raw_logs):
+    def test_s5(self):
         p = parse_presentation(S5_TEXT)
         with mock.patch.object(
             rewriting, "_index_automaton", wraps=rewriting._index_automaton
         ) as automata, mock.patch.object(
             rewriting, "peiffer_closure", wraps=peiffer_closure
         ) as closures:
-            report = complete_presentation(p, raw_logs=raw_logs)
+            report = complete_presentation(p)
         assert report.final_system.complete
         assert automata.call_count < 3 * report.passes
-        if raw_logs:
-            assert closures.call_count == 0
-        else:
-            assert closures.call_count < report.rules_formed
+        assert closures.call_count < report.rules_formed
         for rule in report.final_system.rules:
-            closed = rule.raw_log if raw_logs else peiffer_closure(rule.raw_log)
-            assert rule.log == closed
+            assert rule.log == peiffer_closure(rule.raw_log)

@@ -263,7 +263,7 @@ def sandwich_reference(terms, use_root):
                 and ti.sign == -tj.sign
                 and ti.conjugator == tj.conjugator
             ):
-                shift = inverse(ti.boundary())
+                shift = inverse(boundary_oracle((ti,)))
                 middle = [
                     _strip_conjugator(
                         YTerm(t.relator, t.sign, free_multiply(t.conjugator, shift)),
