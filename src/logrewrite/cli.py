@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys as _sys
 
 from . import __version__
@@ -36,11 +37,8 @@ from .ysequences import render_ysequence, simplify
 
 
 def _positive_int(text: str) -> int:
-    """An argparse type: a limit, which must be a positive integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
+    """An argparse type: a limit, a positive integer in ASCII digits."""
+    value = int(text) if re.fullmatch(r"[+-]?[0-9]+", text) else 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
     return value

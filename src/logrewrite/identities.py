@@ -19,7 +19,6 @@ from .rewriting import (
     CompletionReport,
     Limits,
     LoggedRewriteSystem,
-    _reduce,
     complete_presentation,
     logged_reduce,
     normal_form_fn,
@@ -138,6 +137,7 @@ def build_cayley_graph(
     if not sys.complete:
         raise WordError("Cayley graph construction requires a complete system")
     alphabet = sys.presentation.alphabet
+    nf = normal_form_fn(sys)
     origin = MonoidWord(alphabet)
     vertices = [origin]
     index = {origin}
@@ -148,7 +148,7 @@ def build_cayley_graph(
         next_frontier = []
         for g in frontier:
             for gen in range(len(alphabet)):
-                target = _reduce(_times_gen(g, gen), sys)
+                target = nf(_times_gen(g, gen))
                 if target not in index:
                     if len(vertices) >= vertex_cap:
                         raise InfiniteGroupError(
@@ -371,8 +371,9 @@ def identity_for(
     rho: RelatorRef,
 ) -> YSequence:
     """A single separation identity for a user-supplied group element,
-    without building the (possibly infinite) Cayley graph."""
-    n = _reduce(mu(g), sys)
+    without building the (possibly infinite) Cayley graph; ``sys`` must
+    be complete."""
+    n = normal_form_fn(sys)(mu(g))
     sigma = mu_inverse(n)
     word = mu(free_multiply(free_multiply(sigma, rho.word), inverse(sigma)))
     reduced, log = logged_reduce(word, sys)
@@ -386,8 +387,10 @@ def k1_for(
     g: GroupWord,
     gen_name: str,
 ) -> YSequence:
-    """The sampled edge value k1[g, x] for a user-supplied group element."""
-    n = _reduce(mu(g), sys)
+    """The sampled edge value k1[g, x] for a user-supplied group element;
+    ``sys`` must be complete."""
+    nf = normal_form_fn(sys)
+    n = nf(mu(g))
     gen = sys.presentation.alphabet.index(gen_name)
-    target = _reduce(_times_gen(n, gen), sys)
+    target = nf(_times_gen(n, gen))
     return compute_k1(sys, n, gen, target)

@@ -402,23 +402,23 @@ def normal_form_fn(sys: LoggedRewriteSystem) -> Callable[[MonoidWord], MonoidWor
 
 @dataclass(frozen=True)
 class OverlapDescriptor:
-    """An occurrence u*l*v = l'*v' of two left-hand sides in one word.
-
-    ``rule_a`` owns l' (the primed rule), ``rule_b`` owns l.  Type 1 means
-    l is a subword of l' (v' empty); type 2 means a proper suffix of l'
-    equals a proper prefix of l (v empty).
+    """An occurrence u*l*v = l'*v' of two left-hand sides in one word:
+    ``rule_a`` owns l' (the primed rule), ``rule_b`` owns l, and l starts
+    at offset ``pos`` of l'.  The offset fixes the rest: u = l'[:pos],
+    v = l'[pos+|l|:] and v' = l[|l'|-pos:].  At most one of v and v' is
+    non-empty: v' is empty when l is a subword of l', and v when a proper
+    suffix of l' is a proper prefix of l.
     """
 
     rule_a: int
     rule_b: int
-    kind: str  # "type1" or "type2"
-    u: MonoidWord
-    v: MonoidWord
-    vprime: MonoidWord
+    pos: int
 
     def word(self, sys: LoggedRewriteSystem) -> MonoidWord:
-        lhs = _rule(sys, self.rule_b).lhs
-        return self.u.concat(lhs).concat(self.v)
+        """The overlap word u l v = l' v'."""
+        la, lb = _rule(sys, self.rule_a).lhs, _rule(sys, self.rule_b).lhs
+        u, v = la.letters[: self.pos], la.letters[self.pos + len(lb) :]
+        return _monoid_word(la.alphabet, u + lb.letters + v)
 
 
 def _rule(sys: LoggedRewriteSystem, rule_id: int) -> LoggedRule:
@@ -431,49 +431,25 @@ def _rule(sys: LoggedRewriteSystem, rule_id: int) -> LoggedRule:
 def find_overlaps(
     sys: LoggedRewriteSystem, frontier: Optional[set[int]] = None
 ) -> list[OverlapDescriptor]:
-    """All type-1 and type-2 overlaps, each reported once (type-1 ones of
-    a pair differ by position, type-2 ones by overlap length).
-
-    Self-overlaps of a rule with itself are included (proper ones only:
-    the trivial identical occurrence is skipped).  With ``frontier``, a
-    set of rule ids, only the overlaps of ``rule_a`` or ``rule_b`` in
-    ``frontier`` are listed.
+    """Every overlap u*l*v = l'*v', once: each pair of rules (l' first)
+    at each offset ``pos`` of l in l' where they agree on the letters
+    they share, ``l'[pos:pos+|l|] == l[:|l'|-pos]``.  So u = l'[:pos],
+    v = l'[pos+|l|:] and v' = l[|l'|-pos:].  Offset 0 is skipped for a
+    rule laid on itself, and when |l| > |l'|: that l with l' as a prefix
+    is the overlap of the pair taken the other way round.  With
+    ``frontier``, a set of rule ids, only the overlaps of ``rule_a`` or
+    ``rule_b`` in ``frontier`` are listed.
     """
-    alphabet = sys.presentation.alphabet
-    empty = _monoid_word(alphabet, ())
     rules = sys.rules
     fresh = rules if frontier is None else [r for r in rules if r.id in frontier]
     out: list[OverlapDescriptor] = []
     for ra in rules:  # primed rule, owns l'
+        la = ra.lhs.letters
         for rb in rules if frontier is None or ra.id in frontier else fresh:
-            la, lb = ra.lhs.letters, rb.lhs.letters
-            # type 1: lb occurs inside la, other than a rule laid on itself
-            if ra.id != rb.id and len(lb) <= len(la):
-                for pos in range(len(la) - len(lb) + 1):
-                    if la[pos : pos + len(lb)] == lb:
-                        out.append(
-                            OverlapDescriptor(
-                                ra.id,
-                                rb.id,
-                                "type1",
-                                _monoid_word(alphabet, la[:pos]),
-                                _monoid_word(alphabet, la[pos + len(lb) :]),
-                                empty,
-                            )
-                        )
-            # type 2: proper suffix of la equals proper prefix of lb
-            for k in range(1, min(len(la), len(lb))):
-                if la[len(la) - k :] == lb[:k]:
-                    out.append(
-                        OverlapDescriptor(
-                            ra.id,
-                            rb.id,
-                            "type2",
-                            _monoid_word(alphabet, la[: len(la) - k]),
-                            empty,
-                            _monoid_word(alphabet, lb[k:]),
-                        )
-                    )
+            lb = rb.lhs.letters
+            for pos in range(ra.id == rb.id or len(lb) > len(la), len(la)):
+                if la[pos : pos + len(lb)] == lb[: len(la) - pos]:
+                    out.append(OverlapDescriptor(ra.id, rb.id, pos))
     return out
 
 
@@ -495,7 +471,9 @@ def _descendants(
     """The two descendants of the overlap word: ``u r v`` by ``rule_b``
     and ``r' v'`` by ``rule_a``."""
     ra, rb = _rule(sys, o.rule_a), _rule(sys, o.rule_b)
-    return o.u.concat(rb.rhs).concat(o.v), ra.rhs.concat(o.vprime)
+    la, lb, al = ra.lhs.letters, rb.lhs.letters, sys.presentation.alphabet
+    w = _monoid_word(al, la[: o.pos] + rb.rhs.letters + la[o.pos + len(lb) :])
+    return w, _monoid_word(al, ra.rhs.letters + lb[len(la) - o.pos :])
 
 
 def _joins(o: OverlapDescriptor, sys: LoggedRewriteSystem) -> bool:
@@ -518,7 +496,8 @@ def process_overlap(
     z, d = logged_reduce(w, sys)
     zp, dp = logged_reduce(wprime, sys)
     ra, rb = _rule(sys, o.rule_a), _rule(sys, o.rule_b)
-    log = invert(dp) + invert(ra.log) + act(rb.log, inverse(mu_inverse(o.u))) + d
+    u = _monoid_word(sys.presentation.alphabet, ra.lhs.letters[: o.pos])
+    log = invert(dp) + invert(ra.log) + act(rb.log, inverse(mu_inverse(u))) + d
     if z == zp:
         return Resolved(identity=log)
     return NewPair(zprime=zp, log=log, z=z)
@@ -601,17 +580,16 @@ def complete_presentation(
 
     def pending_key(o: OverlapDescriptor) -> tuple:
         # overlaps of two logged (relator-derived) rules first, then the
-        # ones involving free-cancellation rules; shorter words first.  A
-        # type-2 word is longer than l', so the key is total without kind.
+        # ones involving free-cancellation rules; shorter words first.
         # The raw logs do not force a closure: a formed rule's log is
         # never empty, raw or closed, since its boundary is lhs rhs^-1 != 1
         ra, rb = sys._by_id[o.rule_a], sys._by_id[o.rule_b]
         return (
             0 if ra.raw_log and rb.raw_log else 1,
-            len(o.u) + len(rb.lhs) + len(o.v),
+            max(len(ra.lhs), o.pos + len(rb.lhs)),
             o.rule_b,
             o.rule_a,
-            len(o.u),
+            o.pos,
         )
 
     while True:

@@ -231,8 +231,9 @@ class TestPlumbing:
         assert exc.value.code == 2
 
     # a limit must be positive: 0 would stop before completion starts and
-    # a 0 vertex cap would call a finite group infinite
-    @pytest.mark.parametrize("value", ["0", "-3"])
+    # a 0 vertex cap would call a finite group infinite; and it is written
+    # in ASCII digits, as an exponent is, so "1_0" and "٣" are not 10 and 3
+    @pytest.mark.parametrize("value", ["0", "-3", "1_0", "٣"])
     @pytest.mark.parametrize(
         "command,flag",
         [

@@ -22,7 +22,13 @@ from logrewrite.identities import (
     _sort_key,
 )
 from logrewrite.presentation import parse_presentation
-from logrewrite.rewriting import complete_presentation, logged_reduce, normal_form_fn
+from logrewrite.rewriting import (
+    MAX_PASSES,
+    Limits,
+    complete_presentation,
+    logged_reduce,
+    normal_form_fn,
+)
 from logrewrite.words import (
     GroupWord,
     WordError,
@@ -50,7 +56,7 @@ from logrewrite.ysequences import (
     simplify,
 )
 
-from tests.conftest import ABELIAN_TEXT, Q8_TEXT, conjugate, power
+from tests.conftest import ABELIAN_TEXT, Q8_TEXT, TREFOIL_TEXT, conjugate, power
 
 C3_TEXT = "generators: a\nrelators:\n  r = a^3\n"
 TRIVIAL_TEXT = "generators: x\nrelators:\n  r = x\n"
@@ -435,6 +441,18 @@ class TestSampledApi:
                 ]
                 got = [render_ysequence(YSequence([t])) for t in s]
                 assert got == expected
+
+    def test_incomplete_system_raises(self):
+        # the trefoil does not complete under shortlex: a stopped system
+        # gives no normal forms to sample with
+        p = parse_presentation(TREFOIL_TEXT, order_override="shortlex")
+        report = complete_presentation(p, Limits(max_passes=3))
+        assert report.stopped == MAX_PASSES
+        g = parse_group(p.alphabet, "x y")
+        with pytest.raises(WordError, match="require a complete system"):
+            identity_for(report.final_system, g, p.relators[0])
+        with pytest.raises(WordError, match="require a complete system"):
+            k1_for(report.final_system, g, "x")
 
     def test_q8_sampled_matches_pipeline(self, q8, q8_system, q8_pipeline):
         rho = q8.relator_map()["r4"]

@@ -559,7 +559,63 @@ OVERLAP_SYSTEMS = _overlap_systems()
 
 
 def _key(o):
-    return (o.rule_a, o.rule_b, o.kind, o.u.letters)
+    return (o.rule_a, o.rule_b, o.pos)
+
+
+def two_branch_overlaps(sys):
+    """The overlaps of ``sys`` listed type by type, as ``(rule_a, rule_b,
+    u, v, v')`` letter tuples: type 1, l a subword of l' (v' empty), and
+    type 2, a proper suffix of l' a proper prefix of l (v empty)."""
+    out = []
+    for ra in sys.rules:
+        for rb in sys.rules:
+            la, lb = ra.lhs.letters, rb.lhs.letters
+            if ra.id != rb.id and len(lb) <= len(la):
+                for pos in range(len(la) - len(lb) + 1):
+                    if la[pos : pos + len(lb)] == lb:
+                        out.append((ra.id, rb.id, la[:pos], la[pos + len(lb) :], ()))
+            for k in range(1, min(len(la), len(lb))):
+                if la[len(la) - k :] == lb[:k]:
+                    out.append((ra.id, rb.id, la[: len(la) - k], (), lb[k:]))
+    return out
+
+
+@st.composite
+def rule_tables(draw):
+    """A system of 1-6 rules with empty logs over the generators x and y;
+    each lhs (1-6 letters) is new, a copy of an earlier one, a subword of
+    one, a suffix of one with letters after it, or a power of a short word,
+    so that equal, nested and self-overlapping lhs are common."""
+    p = parse_presentation(ABELIAN_TEXT)
+    letters = st.lists(st.integers(0, 3), min_size=1, max_size=6).map(tuple)
+    ids = draw(st.lists(st.integers(1, 30), min_size=1, max_size=6, unique=True))
+    lhss = []
+    for _ in ids:
+        how = draw(st.sampled_from(["new", "copy", "sub", "shift", "power"]))
+        if how == "new" or not lhss:
+            lhs = draw(letters)
+        else:
+            old = draw(st.sampled_from(lhss))
+            i = draw(st.integers(0, len(old) - 1))
+            if how == "copy":
+                lhs = old
+            elif how == "sub":
+                lhs = old[i : draw(st.integers(i + 1, len(old)))]
+            elif how == "shift":
+                lhs = (old[i:] + draw(letters))[:6]
+            else:
+                lhs = (old[: i + 1] * 6)[: draw(st.integers(i + 1, 6))]
+        lhss.append(lhs)
+    rules = [
+        LoggedRule(
+            MonoidWord(p.alphabet, lhs),
+            YSequence(),
+            MonoidWord(p.alphabet, draw(st.lists(st.integers(0, 3), max_size=3))),
+            rule_id,
+        )
+        for rule_id, lhs in zip(ids, lhss)
+    ]
+    return LoggedRewriteSystem(p, rules)
 
 
 class TestRuleTable:
@@ -596,8 +652,7 @@ class TestRuleTable:
         missing = max(r.id for r in q8_system.rules) + 1
         with pytest.raises(WordError):
             _rule(q8_system, missing)
-        empty = MonoidWord(q8_system.presentation.alphabet)
-        o = OverlapDescriptor(1, missing, "type1", empty, empty, empty)
+        o = OverlapDescriptor(1, missing, 0)
         with pytest.raises(WordError):
             o.word(q8_system)
 
@@ -607,6 +662,30 @@ class TestOverlaps:
     def test_overlap_keys_unique(self, index):
         keys = [_key(o) for o in find_overlaps(OVERLAP_SYSTEMS[index])]
         assert keys and len(set(keys)) == len(keys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rule_tables())
+    def test_same_overlaps_as_two_branch_listing(self, sys):
+        """One offset loop lists the overlaps the type-1 and type-2
+        branches list, with the same words and descendants."""
+        by_id = {r.id: r for r in sys.rules}
+        want = [
+            (
+                a,
+                b,
+                len(u),
+                u + by_id[b].lhs.letters + v,
+                u + by_id[b].rhs.letters + v,
+                by_id[a].rhs.letters + vprime,
+            )
+            for a, b, u, v, vprime in two_branch_overlaps(sys)
+        ]
+        got = [
+            (o.rule_a, o.rule_b, o.pos, o.word(sys).letters)
+            + tuple(w.letters for w in rewriting._descendants(o, sys))
+            for o in find_overlaps(sys)
+        ]
+        assert sorted(got) == sorted(want)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
