@@ -15,6 +15,7 @@ from .ysequences import render_ysequence, simplify
 from .presentation import ParseError, parse_presentation
 from .rewriting import (
     BudgetError,
+    CompletionStopped,
     complete_presentation,
     find_overlaps,
     logged_reduce,
@@ -30,6 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetError",
+    "CompletionStopped",
     "InfiniteGroupError",
     "ParseError",
     "WordError",

@@ -27,6 +27,7 @@ from .identities import (
 from .presentation import parse_presentation
 from .rewriting import (
     BudgetError,
+    CompletionStopped,
     Limits,
     complete_presentation,
     logged_reduce,
@@ -287,6 +288,12 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
     except UnicodeDecodeError as exc:
         print(f"error: {args.file}: {exc}", file=_sys.stderr)
+    except CompletionStopped as exc:
+        print(
+            f"error: {exc.summary}\n"
+            "consider another ordering (--order/--letter-order) or higher limits",
+            file=_sys.stderr,
+        )
     except (OSError, WordError, BudgetError, InfiniteGroupError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
     return 1

@@ -11,6 +11,7 @@ times I(w).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Callable, Container, Iterable, Optional, Union
@@ -46,6 +47,16 @@ class BudgetError(RuntimeError):
     """A reduction or completion limit was exceeded."""
 
 
+class CompletionStopped(BudgetError):
+    """Completion stopped before its system was complete
+    (``require_complete``).  The message is ``summary`` and a closing
+    hint line."""
+
+    def __init__(self, summary: str):
+        super().__init__(f"{summary}\nconsider another ordering or higher limits")
+        self.summary = summary
+
+
 # the budgets of a single logged reduction
 REDUCE_MAX_STEPS = 100_000
 REDUCE_MAX_WORD_LEN = 10_000
@@ -63,26 +74,35 @@ class LoggedRule:
     """A rule ``lhs -> rhs`` with its id and its log, a Y-sequence with
     ``mu_inverse(lhs) = boundary(log) * mu_inverse(rhs)`` in F(X).
 
-    A rule is never changed once built, but for one cache: a rule that
-    completion forms (a critical pair's rule, or a rule interreduction
-    gives a new rhs) keeps the log it was built with as ``raw_log`` and
-    closes it with ``peiffer_closure`` on the first read of ``log``,
-    which keeps the result.  Most formed rules are removed before
-    anything reads their log.  Every other rule's ``log`` is its
-    ``raw_log``: the initial rules and a rule built with
-    ``LoggedRule(...)``.
+    A rule is never changed once built, but for its cached logs.  A rule
+    built with ``LoggedRule(...)``, such as an initial rule, has the log
+    it was given as both ``raw_log`` and ``log``.  A rule that completion
+    forms (``_formed_rule``) holds a recipe for its raw log instead, and
+    builds the raw log on the first read of ``raw_log`` or ``log``; the
+    recipe is then dropped.  Its ``log`` is the raw log closed with
+    ``peiffer_closure`` on the first read.  Most formed rules are removed
+    before anything reads their log, so their logs are never built.
+    ``logged`` says whether the log is non-empty without building it: a
+    formed rule's log never is, since its boundary is lhs rhs^-1 != 1.
     """
 
-    __slots__ = ("lhs", "raw_log", "rhs", "id", "_log")
+    __slots__ = ("lhs", "rhs", "id", "logged", "_raw", "_log", "_recipe")
 
     def __init__(self, lhs: MonoidWord, log: YSequence, rhs: MonoidWord, id: int):
         for name, value in (
-            ("lhs", lhs), ("raw_log", log), ("rhs", rhs), ("id", id), ("_log", log)
+            ("lhs", lhs), ("rhs", rhs), ("id", id), ("logged", bool(log)),
+            ("_raw", log), ("_log", log), ("_recipe", None),
         ):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
+
+    @property
+    def raw_log(self) -> YSequence:
+        if self._recipe is not None:
+            _build_logs(self)
+        return self._raw
 
     @property
     def log(self) -> YSequence:
@@ -113,12 +133,43 @@ class LoggedRule:
 
 
 def _formed_rule(
-    lhs: MonoidWord, raw: YSequence, rhs: MonoidWord, rule_id: int
+    lhs: MonoidWord,
+    rhs: MonoidWord,
+    rule_id: int,
+    reads: tuple[LoggedRule, ...],
+    build: Callable[[], YSequence],
 ) -> LoggedRule:
-    """A rule completion forms: its log is ``raw``, closed on first read."""
-    rule = LoggedRule(lhs, raw, rhs, rule_id)
-    object.__setattr__(rule, "_log", None)
+    """A rule completion forms, with the recipe of its raw log: ``build()``
+    returns the raw log, and reads the logs of the rules ``reads`` and of
+    no other rule."""
+    rule = LoggedRule(lhs, (), rhs, rule_id)
+    for name, value in (
+        ("logged", True), ("_raw", None), ("_log", None), ("_recipe", (reads, build))
+    ):
+        object.__setattr__(rule, name, value)
     return rule
+
+
+def _build_logs(rule: LoggedRule) -> None:
+    """Build the raw log of ``rule`` from its recipe, after the raw logs of
+    the rules the recipe reads, of the rules their recipes read, and so
+    on.  The builds run in post-order off an explicit stack, so each
+    build finds the raw logs it reads built, and builds never nest: the
+    depth of the call does not grow with the rule's ancestry."""
+    stack = [rule]
+    while stack:
+        r = stack[-1]
+        if r._recipe is None:  # built, or pushed twice
+            stack.pop()
+            continue
+        reads, build = r._recipe
+        unbuilt = [d for d in reads if d._recipe is not None]
+        if unbuilt:
+            stack += unbuilt
+            continue
+        object.__setattr__(r, "_raw", build())
+        object.__setattr__(r, "_recipe", None)
+        stack.pop()
 
 
 class LoggedRewriteSystem:
@@ -460,9 +511,7 @@ class Resolved:
 
 @dataclass(frozen=True)
 class NewPair:
-    zprime: MonoidWord
     log: YSequence
-    z: MonoidWord
 
 
 def _descendants(
@@ -490,7 +539,8 @@ def process_overlap(
 
     Returns the connecting Y-sequence either as a harvested identity (the
     pair resolves) or as the certificate of the new critical-pair rule,
-    satisfying ``z' = boundary(log) * z`` in F(X).
+    satisfying ``z' = boundary(log) * z`` in F(X), where z and z' are the
+    normal forms of the descendants ``u r v`` and ``r' v'``.
     """
     w, wprime = _descendants(o, sys)
     z, d = logged_reduce(w, sys)
@@ -500,7 +550,14 @@ def process_overlap(
     log = invert(dp) + invert(ra.log) + act(rb.log, inverse(mu_inverse(u))) + d
     if z == zp:
         return Resolved(identity=log)
-    return NewPair(zprime=zp, log=log, z=z)
+    return NewPair(log=log)
+
+
+def _pair_log(o: OverlapDescriptor, sys: LoggedRewriteSystem, flip: bool) -> YSequence:
+    """The raw log of a critical pair's rule: the connecting log of the
+    overlap ``o`` in ``sys``, inverted when the rule is oriented z -> z'."""
+    log = process_overlap(o, sys).log
+    return invert(log) if flip else log
 
 
 # -- completion --------------------------------------------------------------
@@ -517,7 +574,8 @@ class CompletionReport:
     it is complete, else why completion stopped.  ``identities`` holds
     the non-empty identity of every critical pair that resolved, in the
     order completion met them.  Completion keeps each pass's system and
-    the overlaps that resolved there; the list is built from them with
+    the overlaps that resolved there, the recipe a critical pair's rule
+    keeps for its log (``_pair_log``); the list is built from them with
     ``process_overlap`` on its first read, and later reads return it.
     """
 
@@ -567,11 +625,11 @@ def complete_presentation(
     On success the final system is verified against every overlap and
     marked complete; otherwise ``stopped`` says why not.
 
-    A log is built only for a pair that makes a new rule, whose log is
-    the rule's certificate; whether a pair resolves is decided by its
-    two normal forms alone.  A new rule's log is closed with
-    ``peiffer_closure`` when it is first read (``LoggedRule``): most new
-    rules are removed unread.
+    Completion builds no log.  Each descendant of a pair is reduced
+    once, without a log, and the two normal forms decide whether the
+    pair resolves and how its rule is oriented.  A formed rule keeps a
+    recipe for its log, built when the log is first read
+    (``LoggedRule``): most formed rules are removed unread.
     """
     sys = initial_logged_system(p)
     report = CompletionReport(final_system=sys)
@@ -581,11 +639,10 @@ def complete_presentation(
     def pending_key(o: OverlapDescriptor) -> tuple:
         # overlaps of two logged (relator-derived) rules first, then the
         # ones involving free-cancellation rules; shorter words first.
-        # The raw logs do not force a closure: a formed rule's log is
-        # never empty, raw or closed, since its boundary is lhs rhs^-1 != 1
+        # ``logged`` builds no log
         ra, rb = sys._by_id[o.rule_a], sys._by_id[o.rule_b]
         return (
-            0 if ra.raw_log and rb.raw_log else 1,
+            0 if ra.logged and rb.logged else 1,
             max(len(ra.lhs), o.pos + len(rb.lhs)),
             o.rule_b,
             o.rule_a,
@@ -601,18 +658,27 @@ def complete_presentation(
         new_rules: list[LoggedRule] = []
         joined: list[OverlapDescriptor] = []
         for o in pending:
-            if _joins(o, sys):
+            w, wprime = _descendants(o, sys)
+            applied: set[int] = set()
+            z = _reduce(w, sys, applied=applied)
+            zprime = _reduce(wprime, sys, applied=applied)
+            if z == zprime:
                 joined.append(o)
                 continue
-            result = process_overlap(o, sys)
-            cmp = p.order.compare(result.z, result.zprime)
+            cmp = p.order.compare(z, zprime)
             if cmp == LT:
-                lhs, log, rhs = result.zprime, result.log, result.z
+                lhs, rhs = zprime, z
             elif cmp == GT:
-                lhs, log, rhs = result.z, invert(result.log), result.zprime
-            else:  # pragma: no cover - z != z' guaranteed by process_overlap
+                lhs, rhs = z, zprime
+            else:  # pragma: no cover - z != z' and the order is total
                 raise AssertionError("unordered critical pair")
-            new_rules.append(_formed_rule(lhs, log, rhs, next_id))
+            reads = (
+                sys._by_id[o.rule_a],
+                sys._by_id[o.rule_b],
+                *(sys._by_id[i] for i in applied),
+            )
+            build = partial(_pair_log, o, sys, cmp == GT)
+            new_rules.append(_formed_rule(lhs, rhs, next_id, reads, build))
             next_id += 1
         report._harvest.append((sys, joined))
         if new_rules:
@@ -638,19 +704,27 @@ def complete_presentation(
 
 def require_complete(report: CompletionReport) -> LoggedRewriteSystem:
     """The final system of ``report`` if it is complete; else raises
-    ``BudgetError`` with why and when completion stopped and its last
-    five rules."""
+    ``CompletionStopped`` with why and when completion stopped and its
+    last five rules."""
     sys = report.final_system
     if sys.complete:
         return sys
     tail = "".join(
         f"\n  {render_monoid(r.lhs)} -> {render_monoid(r.rhs)}" for r in sys.rules[-5:]
     )
-    raise BudgetError(
+    raise CompletionStopped(
         f"completion stopped ({report.stopped}) after {report.passes} passes; "
-        f"last rules added:{tail}\n"
-        "consider another ordering (--order/--letter-order) or higher limits"
+        f"last rules added:{tail}"
     )
+
+
+def _rhs_log(old: LoggedRule, sys: LoggedRewriteSystem, skip: frozenset) -> YSequence:
+    """The raw log of a rule interreduction gives a new rhs: the log of
+    ``old`` followed by the log of the reduction of its rhs in ``sys``
+    without the rules ``skip``."""
+    d2: list = []
+    _reduce(old.rhs, sys, skip, d2)
+    return old.log + tuple(d2)
 
 
 def _interreduce(sys: LoggedRewriteSystem) -> tuple[LoggedRewriteSystem, int]:
@@ -665,7 +739,8 @@ def _interreduce(sys: LoggedRewriteSystem) -> tuple[LoggedRewriteSystem, int]:
     the system without them (``_reduce``).  A new rhs makes a new system
     on the same automaton (``LoggedRewriteSystem.replaced``); one system
     without the removed rules is built at the end, and none when no rule
-    was removed.
+    was removed.  No log is built: a rule given a new rhs keeps the
+    recipe of its log (``_rhs_log``).
 
     A test's outcome is cached, so a restart re-tests only the rules
     whose outcome may have changed.  That is exact because the
@@ -694,14 +769,15 @@ def _interreduce(sys: LoggedRewriteSystem) -> tuple[LoggedRewriteSystem, int]:
                     waiting.setdefault(a, []).append(rule.id)
                 continue
             removed += 1  # and the rule stays skipped
-        else:
-            d2: list = []
-            z2 = _reduce(rule.rhs, sys, skip, d2)
-            skip.discard(rule.id)
+        else:  # the lhs is irreducible, so ``applied`` is still empty
+            z2 = _reduce(rule.rhs, sys, skip, applied=applied)
             if z2 == rule.rhs:
+                skip.discard(rule.id)
                 continue
-            new = _formed_rule(rule.lhs, rule.log + tuple(d2), z2, rule.id)
-            sys = sys.replaced(rule, new)
+            reads = (rule, *(sys._by_id[i] for i in applied))
+            build = partial(_rhs_log, rule, sys, frozenset(skip))
+            skip.discard(rule.id)
+            sys = sys.replaced(rule, _formed_rule(rule.lhs, z2, rule.id, reads, build))
         for d in waiting.pop(rule.id, ()):
             if rule.id in unresolved.get(d, ()):
                 del unresolved[d]

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -12,6 +13,7 @@ from logrewrite.rewriting import (
     MAX_PASSES,
     MAX_RULES,
     BudgetError,
+    CompletionStopped,
     Limits,
     LoggedRewriteSystem,
     LoggedRule,
@@ -829,8 +831,11 @@ class TestCompletion:
             "  YYx -> XX\n"
             "  Yxyy -> yx\n"
             "  Yxx -> yX\n"
-            "consider another ordering (--order/--letter-order) or higher limits"
+            "consider another ordering or higher limits"
         )
+        # the CLI prints the summary and a last line that names its flags
+        assert isinstance(exc.value, CompletionStopped)
+        assert exc.value.summary == str(exc.value).rsplit("\n", 1)[0]
         with pytest.raises(BudgetError) as again:
             identities_pipeline(p, limits)
         assert str(again.value) == str(exc.value)
@@ -957,6 +962,8 @@ PINNED = {
     ),
 }
 
+S5_DIGEST = "14ac4f5b58c09114b243020ac385b8a20a7f149e027afdead90eca90ab2ea3b0"
+
 
 def completion_digest(report):
     h = hashlib.sha256()
@@ -998,9 +1005,7 @@ class TestPinnedCompletions:
     def test_s5_completion(self, s5_pipeline):
         report = s5_pipeline.report
         assert completion_counts(report) == (36, 2245, 563, 535, 7)
-        assert completion_digest(report) == (
-            "14ac4f5b58c09114b243020ac385b8a20a7f149e027afdead90eca90ab2ea3b0"
-        )
+        assert completion_digest(report) == S5_DIGEST
 
     def test_s5_pipeline(self, s5_pipeline):
         assert len(s5_pipeline.graph) == 120
@@ -1009,19 +1014,51 @@ class TestPinnedCompletions:
 
 class TestCompletionWork:
     """Completion of S5 builds two index automata per pass, not one per
-    removal or new rhs (552 at one system per change), and closes only
-    the logs it reads."""
+    removal or new rhs (552 at one system per change), and builds no
+    log: a formed rule's log is built when it is read."""
 
     def test_s5(self):
         p = parse_presentation(S5_TEXT)
+        reduce = rewriting._reduce
+        logged = []
+
+        def log_free_reduce(w, system, skip=(), log=None, applied=None):
+            logged.append(log is not None)
+            return reduce(w, system, skip, log, applied)
+
         with mock.patch.object(
             rewriting, "_index_automaton", wraps=rewriting._index_automaton
         ) as automata, mock.patch.object(
             rewriting, "peiffer_closure", wraps=peiffer_closure
-        ) as closures:
+        ) as closures, mock.patch.object(
+            rewriting, "process_overlap", wraps=process_overlap
+        ) as overlaps, mock.patch.object(rewriting, "_reduce", log_free_reduce):
             report = complete_presentation(p)
         assert report.final_system.complete
         assert automata.call_count < 3 * report.passes
-        assert closures.call_count < report.rules_formed
+        assert closures.call_count == 0
+        assert overlaps.call_count == 0
+        assert logged and not any(logged)
         for rule in report.final_system.rules:
             assert rule.log == peiffer_closure(rule.raw_log)
+        assert completion_digest(report) == S5_DIGEST
+
+    def test_log_reads_do_not_nest(self):
+        """Reading a log builds the logs it reads first, one after
+        another, not one inside another.  On Z128, builds nested inside
+        the builds of the logs they read go 63 deep, about 7 frames
+        each; the reads fit in 150."""
+        report = complete_presentation(
+            parse_presentation("generators: a\nrelators:\n  r = a^128\n")
+        )
+        assert report.final_system.complete and report.passes == 65
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 150)
+        try:
+            assert all(rule.holds() for rule in report.final_system.rules)
+            assert report.identities
+        finally:
+            sys.setrecursionlimit(limit)
