@@ -186,7 +186,7 @@ class LoggedRewriteSystem:
         self.rules = sorted(rules, key=attrgetter("id"))
         self.complete = False
         self._by_id = {rule.id: rule for rule in self.rules}
-        self._dfa: Optional[tuple[list[int], list, int]] = None
+        self._dfa: Optional[tuple[list[int], list, int, list[int]]] = None
 
     def rules_by_id(self) -> list[LoggedRule]:
         return list(self.rules)
@@ -194,23 +194,24 @@ class LoggedRewriteSystem:
     def replaced(self, old: LoggedRule, new: LoggedRule) -> LoggedRewriteSystem:
         """This system with the rule ``old`` replaced by ``new``, which has
         its lhs and id.  The lhs set is the same, so the new system reuses
-        this one's automaton with ``new`` in the place of ``old``."""
+        this one's automaton with ``new`` in the place of ``old``: it shares
+        the transition and depth tables and copies ``out``."""
         sys = LoggedRewriteSystem(
             self.presentation, [new if r is old else r for r in self.rules]
         )
-        delta, out, reach = self.automaton()
+        delta, out, reach, depth = self.automaton()
         out = [
             tuple(new if r is old else r for r in o)
             if any(r is old for r in o)
             else o
             for o in out
         ]
-        sys._dfa = delta, out, reach
+        sys._dfa = delta, out, reach, depth
         return sys
 
-    def automaton(self) -> tuple[list[int], list, int]:
+    def automaton(self) -> tuple[list[int], list, int, list[int]]:
         """The Aho-Corasick automaton of the lhs set, ``(delta, out,
-        reach)``, built on the first call.
+        reach, depth)``, built on the first call.
 
         A state is the offset of its row in ``delta``, 0 the start, so
         reading letter ``c`` in state ``s`` goes to ``delta[s + c]``;
@@ -222,6 +223,9 @@ class LoggedRewriteSystem:
         at ``i`` has read its last letter by ``i + reach``.  The subword
         test: a state that ends an lhs and has a child or ends two, or a
         state whose fail link leads to a state that ends an lhs.
+        ``depth[s]`` is the trie depth of ``s``, the length of the longest
+        suffix of the word read that is a prefix of an lhs; like ``out``,
+        it is indexed by the state's offset.
         """
         if self._dfa is None:
             self._dfa = _index_automaton(
@@ -232,9 +236,10 @@ class LoggedRewriteSystem:
 
 def _index_automaton(
     rules: list[LoggedRule], width: int
-) -> tuple[list[int], list, int]:
+) -> tuple[list[int], list, int, list[int]]:
     delta = [-1] * width  # -1: no edge in the trie (yet)
     out: list = [()] * width
+    depth = [0] * width
     for rule in rules:  # in id order, so each state's own rules are too
         s = 0
         for c in rule.lhs.letters:
@@ -243,6 +248,7 @@ def _index_automaton(
                 t = delta[s + c] = len(delta)
                 delta.extend([-1] * width)
                 out.extend([()] * width)
+                depth.extend([depth[s] + 1] * width)
             s = t
         out[s] += (rule,)
     nested = False
@@ -265,7 +271,7 @@ def _index_automaton(
                 fail[t] = delta[f + c]
                 order.append(t)
     reach = max(len(rule.lhs.letters) for rule in rules) - 1 if nested else 0
-    return delta, out, reach
+    return delta, out, reach, depth
 
 
 def initial_logged_system(p: Presentation) -> LoggedRewriteSystem:
@@ -320,23 +326,38 @@ def _reduce(
     ``s``, the rules of ``out[s]`` are those whose lhs ends at ``j``,
     the earliest-starting first and the lowest id first at one start;
     the first of them not in ``skip`` is the candidate ending at
-    ``j``.  The scan keeps the least ``(start, id)`` of the candidates
-    and stops once it has read ``word[start + reach]``: an lhs is at
-    most ``reach + 1`` letters long, so a match that starts earlier, or
-    at the same start with a lower id, has ended by then.  When no lhs
-    is a subword of another, ``reach`` is 0 and the scan stops at the
-    first candidate: a match that starts earlier and ends later would
-    contain it, and one at the same start is a prefix of it or has it as
-    a prefix.
+    ``j``.  The first candidate is the rewrite when no lhs is a subword
+    of another (``reach`` 0): a match that starts earlier and ends later
+    would contain it, and one at the same start is a prefix of it or has
+    it as a prefix.  Otherwise the scan keeps the least ``(start, id)``
+    of the candidates and reads on while the live prefix, the
+    ``depth[s]`` letters before the next one, starts at or before that
+    start.  A match not yet ended has its letters read so far as a
+    suffix of the word read that is a prefix of an lhs, so it starts
+    within the live prefix; once the live prefix starts later, no match
+    that starts earlier, or at the same start with a lower id, can end
+    later.  The scan also stops after ``word[start + reach]``, as an lhs
+    is at most ``reach + 1`` letters long; it usually stops one letter
+    after the candidate.
 
     A rewrite at ``pos`` leaves ``word[:pos]`` alone, and no match lies
     inside it, since none starts before ``pos``; so the stack is cut
     back to ``pos + 1`` entries and reading resumes at ``pos``: the
     letters before ``pos`` are not read again.  Skipping rules is exact,
     since ``out[s]`` lists every lhs that ends at ``j``: the candidates
-    left are those of the system without them, and a ``reach`` of the
-    whole lhs set is at least that of any part of it.  So the scan makes
-    the rewrites a full rescan would.
+    left are those of the system without them, and the live prefix and
+    ``reach`` of the whole lhs set bound those of any part of it.  So
+    the scan makes the rewrites a full rescan would.
+
+    A free-cancellation rule (lhs ``x x^-1``, empty rhs, empty log) in a
+    system with ``reach`` 0 collapses the run at its seam: while the
+    letters on either side of the gap are ``y y^-1`` again and the
+    cancellation rule of that pair is in the system, log-free and not
+    skipped, the pair is removed in the same step.  That is the rewrite
+    the scan would make next: nothing before the gap matched, and with no
+    lhs a subword of another, the only lhs that ends at the letter after
+    the gap is ``y y^-1`` itself.  Each pair counts one step against
+    ``REDUCE_MAX_STEPS`` and adds its id to ``applied``.
 
     The inverse prefix is kept at a cursor ``k``: ``inv`` is the free
     reduction of ``word[:k]`` with every letter flipped, so ``inv[::-1]``
@@ -344,16 +365,17 @@ def _reduce(
     did (-1: pushed, else the letter it cancelled).  A rewrite at ``pos``
     leaves ``word[:pos]`` alone, so a cursor at ``k <= pos`` stays valid
     and moving it to the next hit costs the distance moved.  A rewrite
-    by a rule with an empty log only pulls a cursor past ``pos`` back to
-    ``pos``, and builds nothing.  A rewrite by a rule with a non-empty
-    log moves the cursor to ``pos`` and builds the inverse prefix ``v``
-    once, as one tuple; each term ``(rho^e)^u`` of the rule's log is
-    appended as ``(rho^e)^{u v}``, the product cancelled at its seam as
-    ``free_multiply`` does and built with the trusted constructors.
+    by a rule with an empty log, a collapsed run included, only pulls a
+    cursor past ``pos`` back to ``pos``, and builds nothing.  A rewrite
+    by a rule with a non-empty log moves the cursor to ``pos`` and
+    builds the inverse prefix ``v`` once, as one tuple; each term
+    ``(rho^e)^u`` of the rule's log is appended as ``(rho^e)^{u v}``,
+    the product cancelled at its seam as ``free_multiply`` does and
+    built with the trusted constructors.
     """
     alphabet = w.alphabet
     word = w.letters
-    delta, out, reach = sys.automaton()
+    delta, out, reach, depth = sys.automaton()
     states = [0]
     inv: list[int] = []
     undo: list[int] = []
@@ -364,26 +386,33 @@ def _reduce(
         del states[pos + 1 :]
         s = states[pos]
         rule = None
-        j, end = pos, len(word)
-        while j < end:  # read up to an output; its candidate may shrink end
-            for j in range(j, end):
+        j, n = pos, len(word)
+        while rule is None:  # read up to the first candidate
+            for j in range(j, n):
                 s = delta[s + word[j]]
                 states.append(s)
                 if out[s]:
                     break
             else:
-                break
+                return _monoid_word(alphabet, word)
             for hit in out[s]:
                 if hit.id not in skip:
-                    start = j + 1 - len(hit.lhs.letters)
-                    if rule is None or (start, hit.id) < (pos, rule.id):
-                        rule, pos = hit, start
-                        if start + reach < end:
-                            end = start + reach + 1
+                    rule, pos = hit, j + 1 - len(hit.lhs.letters)
                     break
             j += 1
-        if rule is None:
-            return _monoid_word(alphabet, word)
+        if reach:  # read on while the live prefix starts by the candidate's
+            end = min(n, pos + reach + 1)
+            while j < end and j - depth[s] <= pos:
+                s = delta[s + word[j]]
+                states.append(s)
+                j += 1
+                for hit in out[s]:
+                    if hit.id not in skip:
+                        start = j - len(hit.lhs.letters)
+                        if (start, hit.id) < (pos, rule.id):
+                            rule, pos = hit, start
+                            end = min(end, start + reach + 1)
+                        break
         steps += 1
         if steps > REDUCE_MAX_STEPS:
             raise BudgetError(
@@ -391,6 +420,26 @@ def _reduce(
             )
         if applied is not None:
             applied.add(rule.id)
+        lhs, rhs = rule.lhs.letters, rule.rhs.letters
+        cut = pos + len(lhs)
+        if not (reach or rhs or rule.logged) and lhs == (lhs[0], lhs[0] ^ 1):
+            # a free-cancellation rule: collapse the run at its seam
+            while pos and cut < n and word[cut] == word[pos - 1] ^ 1:
+                # the state of the pair read alone lists its rule, if any
+                hit = out[delta[delta[word[pos - 1]] + word[cut]]]
+                pair = hit[0] if hit else None
+                if pair is None or len(pair.lhs.letters) != 2 or pair.logged:
+                    break
+                if pair.rhs.letters or pair.id in skip:
+                    break
+                steps += 1
+                if steps > REDUCE_MAX_STEPS:
+                    now = _monoid_word(alphabet, word[:pos] + word[cut:])
+                    raise BudgetError(f"reduction budget exceeded on {_brief(now)}")
+                if applied is not None:
+                    applied.add(pair.id)
+                pos -= 1
+                cut += 1
         if log is not None:
             while k > pos:
                 c = undo.pop()
@@ -411,21 +460,20 @@ def _reduce(
                     k += 1
                 v = tuple(inv[::-1])
                 if v:
-                    n = len(v)
+                    nv = len(v)
                     for t in terms:
                         # the term acted on by v: cancel at the seam, as
                         # free_multiply does
                         a = t.conjugator.letters
                         i, j = len(a), 0
-                        while i and j < n and a[i - 1] ^ 1 == v[j]:
+                        while i and j < nv and a[i - 1] ^ 1 == v[j]:
                             i -= 1
                             j += 1
                         u = _group_word(alphabet, a[:i] + v[j:] if j else a + v)
                         log.append(_yterm(t.relator, t.sign, u))
                 else:
                     log.extend(terms)
-        lhs, rhs = rule.lhs.letters, rule.rhs.letters
-        word = word[:pos] + rhs + word[pos + len(lhs) :]
+        word = word[:pos] + rhs + word[cut:]
         if len(word) > REDUCE_MAX_WORD_LEN and len(rhs) > len(lhs):
             raise BudgetError(
                 f"word length budget exceeded while reducing {_brief(w)}"

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from logrewrite import (
@@ -14,6 +17,20 @@ from logrewrite.rewriting import (
 )
 from logrewrite.words import GroupWord, MonoidWord, free_multiply, inverse
 from logrewrite.ysequences import YSequence, act, peiffer_closure
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_checker():
+    """``perfbench/check.py``, the independent certificate checker,
+    loaded from its path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_check", ROOT / "perfbench" / "check.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 Q8_TEXT = """\
 generators: a, b
@@ -85,15 +102,18 @@ def trefoil_system(trefoil_report):
     return trefoil_report.final_system
 
 
-def rescan_reduce(w, sys, max_steps=REDUCE_MAX_STEPS, rightmost=False, *, exclude=0):
+def rescan_reduce(
+    w, sys, max_steps=REDUCE_MAX_STEPS, rightmost=False, *, exclude=0, applied=None
+):
     """Reference logged reduction: rescan the whole word after every
     rewrite and rebuild the inverse prefix from scratch.  Returns the
     normal form, the log and the number of rewrites.  ``rightmost`` scans
     from the right end instead, for the confluence checks: on a complete
     system both directions reach the same normal form.  The rule with id
     ``exclude`` is skipped, as ``rewriting._reduce`` skips the ids it is
-    given.  It reads only ``sys.rules`` and matches on its own: at each
-    position, the lowest-id rule whose lhs occurs there."""
+    given, and the id of every rule applied is added to ``applied`` when
+    it is a set.  It reads only ``sys.rules`` and matches on its own: at
+    each position, the lowest-id rule whose lhs occurs there."""
     by_first = {}  # first letter -> (lhs, rule) in id order
     for rule in sorted(sys.rules, key=lambda r: r.id):
         if rule.id != exclude:
@@ -122,6 +142,8 @@ def rescan_reduce(w, sys, max_steps=REDUCE_MAX_STEPS, rightmost=False, *, exclud
                 f"reduction budget exceeded on {brief(MonoidWord(w.alphabet, word))}"
             )
         pos, rule = hit
+        if applied is not None:
+            applied.add(rule.id)
         prefix = GroupWord(w.alphabet, word[:pos])
         log_terms.extend(act(rule.log, inverse(prefix)))
         word = word[:pos] + rule.rhs.letters + word[pos + len(rule.lhs.letters) :]

@@ -9,27 +9,16 @@ every Cayley edge of ``kone``, every identity record of ``identities
 ``demos/*.pres`` by the checker's own parser.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from tests.conftest import ROOT, load_checker
+
 GOLDEN = ROOT / "tests" / "golden"
 GROUPS = ("q8", "trefoil", "abelian")
 
-
-def _load_checker():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_check", ROOT / "perfbench" / "check.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-check = _load_checker()
+check = load_checker()
 
 
 def relators(group: str) -> dict:

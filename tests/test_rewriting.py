@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import random
 import sys
+from collections import deque
+from functools import cache
 from unittest import mock
 
 import pytest
@@ -27,6 +29,7 @@ from logrewrite.rewriting import (
     require_complete,
 )
 from logrewrite.words import (
+    GroupWord,
     MonoidWord,
     WordError,
     free_multiply,
@@ -35,7 +38,10 @@ from logrewrite.words import (
     render_monoid,
 )
 from logrewrite.ysequences import (
+    NEG,
+    POS,
     YSequence,
+    YTerm,
     boundary,
     peiffer_closure,
     render_ysequence,
@@ -220,13 +226,18 @@ def reduce_skipping(w, sys, skip=()):
 def assert_same_as_rescan(data, w, sys, exclude=0):
     """The logged reduction without rule ``exclude`` (0: none) makes the
     rewrites of ``rescan_reduce``: the same normal form, the same log
-    term for term, and under a drawn step budget the same
-    ``BudgetError``."""
+    term for term, the same rules applied, and under a drawn step budget
+    the same ``BudgetError``."""
     skip = (exclude,) if exclude else ()
     nf, log = reduce_skipping(w, sys, skip)
-    ref_nf, ref_log, steps = rescan_reduce(w, sys, exclude=exclude)
+    applied, ref_applied = set(), set()
+    ref_nf, ref_log, steps = rescan_reduce(
+        w, sys, exclude=exclude, applied=ref_applied
+    )
     assert nf == ref_nf
     assert log == ref_log
+    assert rewriting._reduce(w, sys, skip, applied=applied) == nf
+    assert applied == ref_applied
     # a step budget trips on the same rewrite, with the same word
     budget = data.draw(st.integers(min_value=0, max_value=steps))
     with mock.patch.object(rewriting, "REDUCE_MAX_STEPS", budget):
@@ -297,7 +308,7 @@ class TestResumingReduce:
         assert_same_as_rescan(data, w, sys)
 
     # both stopping rules: the first candidate when no lhs is a subword
-    # of another (reach 0), else the end of the lookahead window
+    # of another (reach 0), else the end of the live prefix
     @pytest.mark.parametrize("subword_free", [True, False])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -385,11 +396,9 @@ class TestInterreduce:
             rules = [new if r is old else r for r in q8_system.rules]
             want = LoggedRewriteSystem(q8_system.presentation, rules)
             assert got.rules == want.rules
-            (delta, out, reach), (want_delta, want_out, want_reach) = (
-                got.automaton(),
-                want.automaton(),
-            )
-            assert (delta, reach) == (want_delta, want_reach)
+            delta, out, reach, depth = got.automaton()
+            want_delta, want_out, want_reach, want_depth = want.automaton()
+            assert (delta, reach, depth) == (want_delta, want_reach, want_depth)
             assert [tuple(map(id, o)) for o in out] == [
                 tuple(map(id, o)) for o in want_out
             ]
@@ -1062,3 +1071,254 @@ class TestCompletionWork:
             assert report.identities
         finally:
             sys.setrecursionlimit(limit)
+
+
+# -- the seam collapse and the live-prefix lookahead -------------------------
+
+
+def run_word(alphabet, *runs):
+    """The word of the runs ``(letter, count)``, letters as rendered."""
+    return parse_monoid(alphabet, "".join(letter * count for letter, count in runs))
+
+
+def run_words_over(alphabet, max_runs=6, max_count=40):
+    """Words made of up to ``max_runs`` runs of one signed letter each,
+    which the free-cancellation rules collapse at their seams."""
+    n = 2 * len(alphabet)
+    run = st.tuples(
+        st.integers(min_value=0, max_value=n - 1),
+        st.integers(min_value=1, max_value=max_count),
+    )
+    return st.lists(run, max_size=max_runs).map(
+        lambda runs: MonoidWord(alphabet, [c for c, k in runs for _ in range(k)])
+    )
+
+
+def assert_every_budget(w, system, exclude=0):
+    """The reduction without rule ``exclude`` (0: none) makes the rewrites
+    of ``rescan_reduce``: the same normal form, log and applied rules,
+    and under every step budget short of the full count the same
+    ``BudgetError``.  Returns the number of rewrites."""
+    skip = {exclude} if exclude else set()
+    applied, ref_applied = set(), set()
+    ref_nf, ref_log, steps = rescan_reduce(
+        w, system, exclude=exclude, applied=ref_applied
+    )
+    assert reduce_skipping(w, system, skip) == (ref_nf, ref_log)
+    assert rewriting._reduce(w, system, skip, applied=applied) == ref_nf
+    assert applied == ref_applied
+    for budget in range(steps):
+        with mock.patch.object(rewriting, "REDUCE_MAX_STEPS", budget):
+            with pytest.raises(BudgetError) as got:
+                reduce_skipping(w, system, skip)
+            with pytest.raises(BudgetError) as log_free:
+                rewriting._reduce(w, system, skip)
+        with pytest.raises(BudgetError) as want:
+            rescan_reduce(w, system, budget, exclude=exclude)
+        assert str(got.value) == str(log_free.value) == str(want.value)
+    return steps
+
+
+COLLAPSE_SYSTEMS = {
+    "d20": REDUCE_SYSTEMS["d20"],
+    "z2": REDUCE_SYSTEMS["z2"],
+    "z64": complete_presentation(parse_presentation(PINNED["z64"][0])).final_system,
+}
+
+# runs of a and A, runs broken by b, a logged rewrite inside a run, runs
+# that cancel past the word's start or end, and runs of two letters
+# (Z^2), whose pairs are cancelled by two rules
+COLLAPSE_WORDS = {
+    "d20": [
+        (("a", 9), ("A", 9)),
+        (("A", 9), ("a", 9)),
+        (("a", 12), ("A", 3), ("b", 1), ("a", 5), ("A", 9)),
+        (("a", 6), ("b", 1), ("A", 6)),
+        (("a", 6), ("b", 2), ("A", 6)),
+        (("a", 4), ("b", 1), ("B", 1), ("A", 7)),
+        (("A", 2), ("B", 2), ("a", 3), ("b", 2)),
+    ],
+    "z2": [
+        (("x", 3), ("y", 4), ("Y", 4), ("X", 3)),
+        (("x", 2), ("Y", 3), ("y", 5), ("X", 2)),
+    ],
+    "z64": [
+        (("a", 40), ("A", 40)),
+        (("A", 70), ("a", 70)),
+        (("a", 7), ("A", 40), ("a", 36)),
+        (("a", 33), ("A", 2)),
+        (("a", 40), ("A", 7)),
+    ],
+}
+
+
+def _identity_log(p):
+    """``(r1^+)(r1^-)``: a log whose boundary is 1."""
+    rho, al = p.relators[0], p.alphabet
+    return (YTerm(rho, POS, GroupWord(al)), YTerm(rho, NEG, GroupWord(al)))
+
+
+class TestSeamCollapse:
+    """A free-cancellation rewrite in a system where no lhs is a subword
+    of another removes the whole run at its seam in one step; the
+    rewrites, budgets and applied rules must stay those of the rescan."""
+
+    @pytest.mark.parametrize(
+        "name, runs",
+        [(name, runs) for name, words in COLLAPSE_WORDS.items() for runs in words],
+    )
+    def test_runs_under_every_budget(self, name, runs):
+        system = COLLAPSE_SYSTEMS[name]
+        assert system.automaton()[2] == 0
+        w = run_word(system.presentation.alphabet, *runs)
+        assert assert_every_budget(w, system)
+
+    # interreduction skips the rule under test, which may be the run's
+    # own cancellation rule
+    @pytest.mark.parametrize(
+        "name, runs",
+        [(name, runs) for name, words in COLLAPSE_WORDS.items() for runs in words],
+    )
+    def test_runs_with_a_cancellation_rule_skipped(self, name, runs):
+        system = COLLAPSE_SYSTEMS[name]
+        w = run_word(system.presentation.alphabet, *runs)
+        for rule in system.rules:
+            if len(rule.lhs) == 2 and not rule.logged:
+                assert_every_budget(w, system, rule.id)
+
+    @pytest.mark.parametrize("name", sorted(COLLAPSE_SYSTEMS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_runs(self, name, data):
+        system = COLLAPSE_SYSTEMS[name]
+        w = data.draw(run_words_over(system.presentation.alphabet))
+        exclude = data.draw(st.sampled_from([0] + [r.id for r in system.rules]))
+        assert_same_as_rescan(data, w, system, exclude)
+
+    def test_a_logged_cancellation_rule_is_not_collapsed(self):
+        """A hand-built ``aA -> 1`` whose log is an identity: each of its
+        rewrites appends the log's two terms, also at the seam of a run
+        that a log-free cancellation rule started, and a log-free pair at
+        its own seam is left to the next step."""
+        p = parse_presentation("generators: a, b\nrelators:\n  r1 = b^3\n")
+        al = p.alphabet
+        rules = [
+            LoggedRule(r.lhs, _identity_log(p), r.rhs, r.id)
+            if render_monoid(r.lhs) == "aA"
+            else r
+            for r in initial_logged_system(p).rules
+        ]
+        system = LoggedRewriteSystem(p, rules)
+        assert all(r.holds() for r in system.rules)
+        assert system.automaton()[2] == 0
+        for k in (1, 5, 12):
+            for runs in (
+                (("a", k), ("A", k)),
+                (("a", k), ("B", 2), ("b", 2), ("A", k)),
+                (("b", 2), ("a", k), ("A", k), ("B", 2)),
+            ):
+                w = run_word(al, *runs)
+                assert_every_budget(w, system)
+                nf, log = logged_reduce(w, system)
+                assert nf.letters == () and len(log) == 2 * k
+
+    def test_no_collapse_in_a_nested_system(self):
+        """With ``baA -> b`` beside ``aA -> 1``, the seam of ``b a (aA) A``
+        is the end of ``baA``, which starts earlier than the seam's
+        ``aA``: the scan, not the collapse, must pick the rewrite."""
+        p = parse_presentation("generators: a, b\nrelators:\n  r1 = b^2\n")
+        al = p.alphabet
+        lhs, rhs = parse_monoid(al, "baA"), parse_monoid(al, "b")
+        extra = LoggedRule(lhs, _identity_log(p), rhs, 6)
+        system = LoggedRewriteSystem(p, [*initial_logged_system(p).rules, extra])
+        assert extra.holds() and system.automaton()[2] == 2
+        for k in (1, 2, 7):
+            w = run_word(al, ("b", 1), ("a", k), ("A", k))
+            assert assert_every_budget(w, system) == k
+            assert logged_reduce(w, system) == (parse_monoid(al, "b"), extra.log)
+
+    def test_cursor_pulled_back_past_the_run(self):
+        """On D20, ``AABBaaabb``: ``B -> b`` twice and ``bb -> 1`` leave
+        the inverse-prefix cursor at 2, then ``AAaaa`` collapses to ``a``
+        at 0, and the logged ``bb -> 1`` at 1 must read the prefix ``a``,
+        not the letters the run removed."""
+        system = COLLAPSE_SYSTEMS["d20"]
+        w = parse_monoid(system.presentation.alphabet, "AABBaaabb")
+        assert assert_every_budget(w, system) == 6
+        check_logging_invariant(w, system)
+
+
+@cache
+def interreduced_systems(name):
+    """Every system completion hands to ``_interreduce`` on the pinned
+    presentation ``name`` in which one lhs is a subword of another."""
+    handed = []
+    interreduce = rewriting._interreduce
+
+    def record(system):
+        handed.append(system)
+        return interreduce(system)
+
+    with mock.patch.object(rewriting, "_interreduce", record):
+        complete_presentation(parse_presentation(PINNED[name][0]))
+    return [s for s in handed if s.automaton()[2] > 0]
+
+
+def trie_depths(system):
+    """Each state's distance from the start on the automaton's edges,
+    found breadth first: the shortest word that leads to a state is the
+    trie word it stands for."""
+    delta, width = system.automaton()[0], 2 * len(system.presentation.alphabet)
+    dist = {0: 0}
+    queue = deque([0])
+    while queue:
+        s = queue.popleft()
+        for t in delta[s : s + width]:
+            if t not in dist:
+                dist[t] = dist[s] + 1
+                queue.append(t)
+    return dist
+
+
+class TestLiveLookahead:
+    """In a nested system the scan reads past its candidate only while
+    the live prefix, ``depth[s]`` letters long, starts at or before the
+    candidate's start.  Checked on the systems real completions hand to
+    interreduction, whose lhs run to 40 letters."""
+
+    NAMES = ["d40", "s4_coxeter", "torus34"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_completions_hand_over_nested_systems(self, name):
+        systems = interreduced_systems(name)
+        assert systems
+        longest = max(len(r.lhs) for s in systems for r in s.rules)
+        assert longest >= {"d40": 40, "s4_coxeter": 7, "torus34": 7}[name]
+
+    @pytest.mark.parametrize("name", NAMES)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_same_rewrites_as_rescan(self, name, data):
+        systems = interreduced_systems(name)
+        system = data.draw(st.sampled_from(systems))
+        exclude = data.draw(st.sampled_from([0] + [r.id for r in system.rules]))
+        alphabet = system.presentation.alphabet
+        w = data.draw(
+            st.one_of(sized_words_over(alphabet, 80), run_words_over(alphabet, 4, 20))
+        )
+        assert_same_as_rescan(data, w, system, exclude)
+
+    def test_depth_is_the_trie_depth(self):
+        systems = [
+            *REDUCE_SYSTEMS.values(),
+            *NESTED_SYSTEMS.values(),
+            *(s for name in self.NAMES for s in interreduced_systems(name)),
+        ]
+        for system in systems:
+            depth = system.automaton()[3]
+            dist = trie_depths(system)
+            prefixes = {
+                r.lhs.letters[:i] for r in system.rules for i in range(len(r.lhs) + 1)
+            }
+            assert len(dist) == len(prefixes)
+            assert {s: depth[s] for s in dist} == dist
