@@ -143,23 +143,18 @@ def build_cayley_graph(
     index = {origin}
     edges: dict[tuple[MonoidWord, int], Edge] = {}
     targets: dict[tuple[MonoidWord, int], MonoidWord] = {}
-    frontier = [origin]
-    while frontier:
-        next_frontier = []
-        for g in frontier:
-            for gen in range(len(alphabet)):
-                target = nf(_times_gen(g, gen))
-                if target not in index:
-                    if len(vertices) >= vertex_cap:
-                        raise InfiniteGroupError(
-                            f"vertex cap {vertex_cap} exceeded; the group may be "
-                            "infinite -- use identity_for/k1_for to sample"
-                        )
-                    index.add(target)
-                    vertices.append(target)
-                    next_frontier.append(target)
-                targets[(g, gen)] = target
-        frontier = next_frontier
+    for g in vertices:  # the list is the queue: vertices are found in BFS order
+        for gen in range(len(alphabet)):
+            target = nf(_times_gen(g, gen))
+            if target not in index:
+                if len(vertices) >= vertex_cap:
+                    raise InfiniteGroupError(
+                        f"vertex cap {vertex_cap} exceeded; the group may be "
+                        "infinite -- use identity_for/k1_for to sample"
+                    )
+                index.add(target)
+                vertices.append(target)
+            targets[(g, gen)] = target
     for (g, gen), target in targets.items():
         edges[(g, gen)] = Edge(g, gen, target, compute_k1(sys, g, gen, target))
     return CayleyGraph(sys, vertices, edges)

@@ -44,9 +44,10 @@ def parse_presentation(
           r1 = a^4
           r3 = a b a b^-1
 
-    ``#`` starts a comment; a relator label is letters, digits and
-    underscores; relator words are whitespace separated with ``^k``
-    powers and are freely reduced on ingest.
+    ``#`` starts a comment; each relator has a line of its own after
+    ``relators:``; a relator label is letters, digits and underscores;
+    relator words are whitespace separated with ``^k`` powers and are
+    freely reduced on ingest.
     """
     alphabet: Optional[Alphabet] = None
     order_kind = "shortlex"
@@ -82,6 +83,10 @@ def parse_presentation(
                 letters_line = lineno
                 if not letters_text:
                     raise ParseError("empty 'letters:' declaration", lineno)
+            elif value.strip():  # each relator has a line of its own
+                raise ParseError(
+                    f"unexpected text after 'relators:': {value.strip()!r}", lineno
+                )
             else:
                 in_relators = True
             continue

@@ -74,24 +74,23 @@ class LoggedRule:
     """A rule ``lhs -> rhs`` with its id and its log, a Y-sequence with
     ``mu_inverse(lhs) = boundary(log) * mu_inverse(rhs)`` in F(X).
 
-    A rule is never changed once built, but for its cached logs.  A rule
+    A rule is never changed once built, but for its cached log.  A rule
     built with ``LoggedRule(...)``, such as an initial rule, has the log
-    it was given as both ``raw_log`` and ``log``.  A rule that completion
-    forms (``_formed_rule``) holds a recipe for its raw log instead, and
-    builds the raw log on the first read of ``raw_log`` or ``log``; the
-    recipe is then dropped.  Its ``log`` is the raw log closed with
-    ``peiffer_closure`` on the first read.  Most formed rules are removed
-    before anything reads their log, so their logs are never built.
-    ``logged`` says whether the log is non-empty without building it: a
-    formed rule's log never is, since its boundary is lhs rhs^-1 != 1.
+    it was given.  A rule that completion forms (``_formed_rule``) holds
+    a recipe for its log instead, and builds the log on the first read of
+    ``log``: the recipe's sequence closed with ``peiffer_closure``.  The
+    recipe is then dropped.  Most formed rules are removed before
+    anything reads their log, so their logs are never built.  ``logged``
+    says whether the log is non-empty without building it: a formed
+    rule's log never is, since its boundary is lhs rhs^-1 != 1.
     """
 
-    __slots__ = ("lhs", "rhs", "id", "logged", "_raw", "_log", "_recipe")
+    __slots__ = ("lhs", "rhs", "id", "logged", "_log", "_recipe")
 
     def __init__(self, lhs: MonoidWord, log: YSequence, rhs: MonoidWord, id: int):
         for name, value in (
             ("lhs", lhs), ("rhs", rhs), ("id", id), ("logged", bool(log)),
-            ("_raw", log), ("_log", log), ("_recipe", None),
+            ("_log", log), ("_recipe", None),
         ):
             object.__setattr__(self, name, value)
 
@@ -99,15 +98,9 @@ class LoggedRule:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
-    def raw_log(self) -> YSequence:
+    def log(self) -> YSequence:
         if self._recipe is not None:
             _build_logs(self)
-        return self._raw
-
-    @property
-    def log(self) -> YSequence:
-        if self._log is None:
-            object.__setattr__(self, "_log", peiffer_closure(self.raw_log))
         return self._log
 
     def __eq__(self, other) -> bool:
@@ -139,23 +132,21 @@ def _formed_rule(
     reads: tuple[LoggedRule, ...],
     build: Callable[[], YSequence],
 ) -> LoggedRule:
-    """A rule completion forms, with the recipe of its raw log: ``build()``
-    returns the raw log, and reads the logs of the rules ``reads`` and of
-    no other rule."""
+    """A rule completion forms, with the recipe of its log: the log is
+    ``build()`` closed with ``peiffer_closure``, and ``build`` reads the
+    logs of the rules ``reads`` and of no other rule."""
     rule = LoggedRule(lhs, (), rhs, rule_id)
-    for name, value in (
-        ("logged", True), ("_raw", None), ("_log", None), ("_recipe", (reads, build))
-    ):
+    for name, value in (("logged", True), ("_log", None), ("_recipe", (reads, build))):
         object.__setattr__(rule, name, value)
     return rule
 
 
 def _build_logs(rule: LoggedRule) -> None:
-    """Build the raw log of ``rule`` from its recipe, after the raw logs of
-    the rules the recipe reads, of the rules their recipes read, and so
-    on.  The builds run in post-order off an explicit stack, so each
-    build finds the raw logs it reads built, and builds never nest: the
-    depth of the call does not grow with the rule's ancestry."""
+    """Build the log of ``rule`` from its recipe, after the logs of the
+    rules the recipe reads, of the rules their recipes read, and so on.
+    The builds run in post-order off an explicit stack, so each build
+    finds the logs it reads built, and builds never nest: the depth of
+    the call does not grow with the rule's ancestry."""
     stack = [rule]
     while stack:
         r = stack[-1]
@@ -167,7 +158,7 @@ def _build_logs(rule: LoggedRule) -> None:
         if unbuilt:
             stack += unbuilt
             continue
-        object.__setattr__(r, "_raw", build())
+        object.__setattr__(r, "_log", peiffer_closure(build()))
         object.__setattr__(r, "_recipe", None)
         stack.pop()
 
@@ -186,46 +177,39 @@ class LoggedRewriteSystem:
         self.rules = sorted(rules, key=attrgetter("id"))
         self.complete = False
         self._by_id = {rule.id: rule for rule in self.rules}
-        self._dfa: Optional[tuple[list[int], list, int, list[int]]] = None
+        self._dfa: Optional[tuple[list[int], list, bool, list[int]]] = None
 
     def rules_by_id(self) -> list[LoggedRule]:
         return list(self.rules)
 
     def replaced(self, old: LoggedRule, new: LoggedRule) -> LoggedRewriteSystem:
         """This system with the rule ``old`` replaced by ``new``, which has
-        its lhs and id.  The lhs set is the same, so the new system reuses
-        this one's automaton with ``new`` in the place of ``old``: it shares
-        the transition and depth tables and copies ``out``."""
+        its lhs and id.  The automaton depends only on the lhs of each id,
+        so the new system shares this one's."""
         sys = LoggedRewriteSystem(
             self.presentation, [new if r is old else r for r in self.rules]
         )
-        delta, out, reach, depth = self.automaton()
-        out = [
-            tuple(new if r is old else r for r in o)
-            if any(r is old for r in o)
-            else o
-            for o in out
-        ]
-        sys._dfa = delta, out, reach, depth
+        sys._dfa = self.automaton()
         return sys
 
-    def automaton(self) -> tuple[list[int], list, int, list[int]]:
+    def automaton(self) -> tuple[list[int], list, bool, list[int]]:
         """The Aho-Corasick automaton of the lhs set, ``(delta, out,
-        reach, depth)``, built on the first call.
+        nested, depth)``, built on the first call.  It depends only on
+        each rule's id and lhs, so every system over one lhs set with the
+        same ids can share it (``replaced``).
 
         A state is the offset of its row in ``delta``, 0 the start, so
         reading letter ``c`` in state ``s`` goes to ``delta[s + c]``;
-        every row is full.  ``out[s]`` is the tuple of the rules whose lhs
-        is a suffix of the word that leads to ``s``, longest first, then
-        lowest id first; the empty tuple when there are none.  ``reach``
-        is 0 when no lhs is a subword of another (two equal lhs count),
-        else the length of the longest lhs less one: a match that starts
-        at ``i`` has read its last letter by ``i + reach``.  The subword
-        test: a state that ends an lhs and has a child or ends two, or a
-        state whose fail link leads to a state that ends an lhs.
-        ``depth[s]`` is the trie depth of ``s``, the length of the longest
-        suffix of the word read that is a prefix of an lhs; like ``out``,
-        it is indexed by the state's offset.
+        every row is full.  ``out[s]`` is the tuple of the ``(id, lhs
+        length)`` pairs of the rules whose lhs is a suffix of the word that
+        leads to ``s``, longest first, then lowest id first; the empty
+        tuple when there are none.  ``nested`` says whether an lhs is a
+        subword of another (two equal lhs count).  The subword test: a
+        state that ends an lhs and has a child or ends two, or a state
+        whose fail link leads to a state that ends an lhs.  ``depth[s]``
+        is the trie depth of ``s``, the length of the longest suffix of
+        the word read that is a prefix of an lhs; like ``out``, it is
+        indexed by the state's offset.
         """
         if self._dfa is None:
             self._dfa = _index_automaton(
@@ -236,7 +220,7 @@ class LoggedRewriteSystem:
 
 def _index_automaton(
     rules: list[LoggedRule], width: int
-) -> tuple[list[int], list, int, list[int]]:
+) -> tuple[list[int], list, bool, list[int]]:
     delta = [-1] * width  # -1: no edge in the trie (yet)
     out: list = [()] * width
     depth = [0] * width
@@ -250,7 +234,7 @@ def _index_automaton(
                 out.extend([()] * width)
                 depth.extend([depth[s] + 1] * width)
             s = t
-        out[s] += (rule,)
+        out[s] += ((rule.id, len(rule.lhs.letters)),)
     nested = False
     order = [t for t in delta[:width] if t > 0]
     fail = dict.fromkeys(order, 0)
@@ -270,8 +254,7 @@ def _index_automaton(
             else:
                 fail[t] = delta[f + c]
                 order.append(t)
-    reach = max(len(rule.lhs.letters) for rule in rules) - 1 if nested else 0
-    return delta, out, reach, depth
+    return delta, out, nested, depth
 
 
 def initial_logged_system(p: Presentation) -> LoggedRewriteSystem:
@@ -323,34 +306,36 @@ def _reduce(
     The scan reads the word left to right on the system's automaton
     (``LoggedRewriteSystem.automaton``), keeping ``states[j]``, the
     state after ``word[:j]``.  After ``word[j]`` is read into state
-    ``s``, the rules of ``out[s]`` are those whose lhs ends at ``j``,
-    the earliest-starting first and the lowest id first at one start;
-    the first of them not in ``skip`` is the candidate ending at
-    ``j``.  The first candidate is the rewrite when no lhs is a subword
-    of another (``reach`` 0): a match that starts earlier and ends later
-    would contain it, and one at the same start is a prefix of it or has
-    it as a prefix.  Otherwise the scan keeps the least ``(start, id)``
-    of the candidates and reads on while the live prefix, the
-    ``depth[s]`` letters before the next one, starts at or before that
-    start.  A match not yet ended has its letters read so far as a
-    suffix of the word read that is a prefix of an lhs, so it starts
-    within the live prefix; once the live prefix starts later, no match
-    that starts earlier, or at the same start with a lower id, can end
-    later.  The scan also stops after ``word[start + reach]``, as an lhs
-    is at most ``reach + 1`` letters long; it usually stops one letter
-    after the candidate.
+    ``s``, the ``(id, length)`` pairs of ``out[s]`` are the rules whose
+    lhs ends at ``j``, the earliest-starting first and the lowest id
+    first at one start; the first whose id is not in ``skip`` is the
+    candidate ending at ``j``.  The first candidate is the rewrite when
+    no lhs is a subword of another (not ``nested``): a match that starts
+    earlier and ends later would contain it, and one at the same start
+    is a prefix of it or has it as a prefix.  Otherwise the scan keeps
+    the least ``(start, id)`` of the candidates and reads on while the
+    live prefix, the ``depth[s]`` letters before the next one, starts at
+    or before that start; that is its only stopping rule.  A match not
+    yet ended has its letters read so far as a suffix of the word read
+    that is a prefix of an lhs, so it starts within the live prefix;
+    once the live prefix starts later, no match that starts earlier, or
+    at the same start with a lower id, can end later.  A state's depth
+    is at most the longest lhs, so the scan reads at most one letter
+    past the end of the longest lhs that could start at the candidate's
+    start; it usually stops one letter after the candidate.  The chosen
+    rule is looked up by its id once per rewrite.
 
     A rewrite at ``pos`` leaves ``word[:pos]`` alone, and no match lies
     inside it, since none starts before ``pos``; so the stack is cut
     back to ``pos + 1`` entries and reading resumes at ``pos``: the
     letters before ``pos`` are not read again.  Skipping rules is exact,
     since ``out[s]`` lists every lhs that ends at ``j``: the candidates
-    left are those of the system without them, and the live prefix and
-    ``reach`` of the whole lhs set bound those of any part of it.  So
-    the scan makes the rewrites a full rescan would.
+    left are those of the system without them, and the live prefix of
+    the whole lhs set bounds those of any part of it.  So the scan makes
+    the rewrites a full rescan would.
 
     A free-cancellation rule (lhs ``x x^-1``, empty rhs, empty log) in a
-    system with ``reach`` 0 collapses the run at its seam: while the
+    system that is not ``nested`` collapses the run at its seam: while the
     letters on either side of the gap are ``y y^-1`` again and the
     cancellation rule of that pair is in the system, log-free and not
     skipped, the pair is removed in the same step.  That is the rewrite
@@ -375,7 +360,8 @@ def _reduce(
     """
     alphabet = w.alphabet
     word = w.letters
-    delta, out, reach, depth = sys.automaton()
+    delta, out, nested, depth = sys.automaton()
+    by_id = sys._by_id
     states = [0]
     inv: list[int] = []
     undo: list[int] = []
@@ -385,9 +371,9 @@ def _reduce(
     while True:
         del states[pos + 1 :]
         s = states[pos]
-        rule = None
+        rid = None
         j, n = pos, len(word)
-        while rule is None:  # read up to the first candidate
+        while rid is None:  # read up to the first candidate
             for j in range(j, n):
                 s = delta[s + word[j]]
                 states.append(s)
@@ -395,24 +381,22 @@ def _reduce(
                     break
             else:
                 return _monoid_word(alphabet, word)
-            for hit in out[s]:
-                if hit.id not in skip:
-                    rule, pos = hit, j + 1 - len(hit.lhs.letters)
+            for hit, length in out[s]:
+                if hit not in skip:
+                    rid, pos = hit, j + 1 - length
                     break
             j += 1
-        if reach:  # read on while the live prefix starts by the candidate's
-            end = min(n, pos + reach + 1)
-            while j < end and j - depth[s] <= pos:
+        if nested:  # read on while the live prefix starts by the candidate's
+            while j < n and j - depth[s] <= pos:
                 s = delta[s + word[j]]
                 states.append(s)
                 j += 1
-                for hit in out[s]:
-                    if hit.id not in skip:
-                        start = j - len(hit.lhs.letters)
-                        if (start, hit.id) < (pos, rule.id):
-                            rule, pos = hit, start
-                            end = min(end, start + reach + 1)
+                for hit, length in out[s]:
+                    if hit not in skip:
+                        if (j - length, hit) < (pos, rid):
+                            rid, pos = hit, j - length
                         break
+        rule = by_id[rid]
         steps += 1
         if steps > REDUCE_MAX_STEPS:
             raise BudgetError(
@@ -422,15 +406,15 @@ def _reduce(
             applied.add(rule.id)
         lhs, rhs = rule.lhs.letters, rule.rhs.letters
         cut = pos + len(lhs)
-        if not (reach or rhs or rule.logged) and lhs == (lhs[0], lhs[0] ^ 1):
+        if not (nested or rhs or rule.logged) and lhs == (lhs[0], lhs[0] ^ 1):
             # a free-cancellation rule: collapse the run at its seam
             while pos and cut < n and word[cut] == word[pos - 1] ^ 1:
                 # the state of the pair read alone lists its rule, if any
                 hit = out[delta[delta[word[pos - 1]] + word[cut]]]
-                pair = hit[0] if hit else None
-                if pair is None or len(pair.lhs.letters) != 2 or pair.logged:
+                if not hit or hit[0][1] != 2:
                     break
-                if pair.rhs.letters or pair.id in skip:
+                pair = by_id[hit[0][0]]
+                if pair.logged or pair.rhs.letters or pair.id in skip:
                     break
                 steps += 1
                 if steps > REDUCE_MAX_STEPS:
@@ -602,8 +586,9 @@ def process_overlap(
 
 
 def _pair_log(o: OverlapDescriptor, sys: LoggedRewriteSystem, flip: bool) -> YSequence:
-    """The raw log of a critical pair's rule: the connecting log of the
-    overlap ``o`` in ``sys``, inverted when the rule is oriented z -> z'."""
+    """The log of a critical pair's rule before ``peiffer_closure``: the
+    connecting log of the overlap ``o`` in ``sys``, inverted when the
+    rule is oriented z -> z'."""
     log = process_overlap(o, sys).log
     return invert(log) if flip else log
 
@@ -767,9 +752,9 @@ def require_complete(report: CompletionReport) -> LoggedRewriteSystem:
 
 
 def _rhs_log(old: LoggedRule, sys: LoggedRewriteSystem, skip: frozenset) -> YSequence:
-    """The raw log of a rule interreduction gives a new rhs: the log of
-    ``old`` followed by the log of the reduction of its rhs in ``sys``
-    without the rules ``skip``."""
+    """The log, before ``peiffer_closure``, of a rule interreduction gives
+    a new rhs: the log of ``old`` followed by the log of the reduction of
+    its rhs in ``sys`` without the rules ``skip``."""
     d2: list = []
     _reduce(old.rhs, sys, skip, d2)
     return old.log + tuple(d2)

@@ -83,6 +83,7 @@ class TestParseErrors:
             ("generators: a\nrelators:\n  r1 = a^2\n  r2 = a^\n", 4),  # no exponent
             ("generators: a\nrelators:\n  r = a^1_0\n", 3),  # not ASCII digits
             ("generators: a\nrelators:\n  r = a^\u0663\n", 3),
+            ("generators: a\nrelators: r1 = a^3\n", 2),  # text after relators:
         ],
     )
     def test_line_numbers(self, text, line):
@@ -119,6 +120,10 @@ class TestParseErrors:
             (
                 "generators: a\nrelators:\n  r1 = a^2\n  r) x = a^3\n",
                 "line 4: relator label 'r) x' is not a word",
+            ),
+            (
+                "generators: a\nrelators: r1 = a^3\n",
+                "line 2: unexpected text after 'relators:': 'r1 = a^3'",
             ),
         ],
     )
