@@ -1,11 +1,14 @@
-"""CLI and demo stdout, byte for byte, against recorded golden files.
+"""CLI and demo output, byte for byte, against recorded golden files.
 
-Each file under ``tests/golden/`` holds the stdout of one command run from
-the repository root.  The CLI cases cover ``complete`` and ``reduce`` on
-the Q8, trefoil and Z^2 demos, ``kone`` and ``identities --keep-all`` on
-Q8, each in text and JSON; the two demo scripts are run as they ship.
-``kone`` and ``identities`` on the infinite groups are left out: they
-only print the vertex cap error, after a Cayley BFS of 10000 vertices.
+Each ``tests/golden/<case>-<format>.txt`` holds the stdout of one command
+run from the repository root, and ``<case>-<format>-stderr.txt`` its
+stderr; a case without a stderr file prints nothing there (only
+``complete`` and ``identities`` print a summary, and only in text).  The
+CLI cases cover ``complete`` and ``reduce`` on the Q8, trefoil and Z^2
+demos, ``kone``, ``identities`` and ``identities --keep-all`` on Q8, each
+in text and JSON; the two demo scripts are run as they ship.  ``kone``
+and ``identities`` on the infinite groups are left out: they only print
+the vertex cap error, after a Cayley BFS of 10000 vertices.
 """
 
 import os
@@ -32,6 +35,7 @@ for _group, _word in REDUCE_WORDS.items():
     CLI_CASES[f"complete-{_group}"] = ["complete", _pres]
     CLI_CASES[f"reduce-{_group}"] = ["reduce", _pres, _word]
 CLI_CASES["kone-q8"] = ["kone", "demos/q8.pres"]
+CLI_CASES["identities-q8"] = ["identities", "demos/q8.pres"]
 CLI_CASES["identities-keep-all-q8"] = ["identities", "demos/q8.pres", "--keep-all"]
 
 DEMOS = ["quaternion_identities", "infinite_groups"]
@@ -47,6 +51,16 @@ def test_cli_stdout(name, fmt, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert main(CLI_CASES[name] + ["--format", fmt]) == 0
     assert capsys.readouterr().out == _golden(f"{name}-{fmt}")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_stderr(name, fmt, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main(CLI_CASES[name] + ["--format", fmt]) == 0
+    stderr = GOLDEN / f"{name}-{fmt}-stderr.txt"
+    want = stderr.read_text(encoding="utf-8") if stderr.exists() else ""
+    assert capsys.readouterr().err == want
 
 
 @pytest.mark.parametrize("demo", DEMOS)
