@@ -6,6 +6,14 @@
     logrewrite reduce FILE WORD         logged normal form of a word
     logrewrite identities FILE          generators of the identity module
     logrewrite kone FILE                the k1 value on every Cayley edge
+
+Output: ``--format text`` (the default) prints a table on stdout, header
+first, and for ``complete`` and ``identities`` a ``#`` summary line on
+stderr; ``--format json`` prints one JSON value on stdout and nothing on
+stderr.  Each command returns its JSON value and its table as
+zero-argument callables, so only the form asked for is rendered, and its
+summary line or None; ``main`` alone prints them.  An error prints
+``error: ...`` on stderr and exits 1; a usage error exits 2.
 """
 
 from __future__ import annotations
@@ -111,15 +119,7 @@ def _load(args: argparse.Namespace):
     )
 
 
-def _complete_or_die(p, args):
-    report = complete_presentation(p, _limits(args))
-    require_complete(report)
-    return report
-
-
 def _table(rows: list[tuple[str, ...]]) -> str:
-    if not rows:
-        return ""
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     return "\n".join(
         "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
@@ -138,12 +138,11 @@ def _terms_json(seq) -> list[dict]:
     ]
 
 
-def _cmd_complete(args: argparse.Namespace) -> int:
-    p = _load(args)
-    report = _complete_or_die(p, args)
-    rules = report.final_system.rules_by_id()
-    if args.fmt == "json":
-        payload = {
+def _cmd_complete(args: argparse.Namespace):
+    report = complete_presentation(_load(args), _limits(args))
+    rules = require_complete(report).rules_by_id()
+    return (
+        lambda: {
             "rules": [
                 {
                     "lhs": render_monoid(r.lhs),
@@ -156,114 +155,87 @@ def _cmd_complete(args: argparse.Namespace) -> int:
             "rules_formed": report.rules_formed,
             "rules_removed": report.rules_removed,
             "passes": report.passes,
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
-    rows = [("lhs", "rhs", "log")]
-    rows += [
-        (render_monoid(r.lhs), render_monoid(r.rhs), render_ysequence(r.log))
-        for r in rules
-    ]
-    print(_table(rows))
-    print(
+        },
+        lambda: [("lhs", "rhs", "log")] + [
+            (render_monoid(r.lhs), render_monoid(r.rhs), render_ysequence(r.log))
+            for r in rules
+        ],
         f"# {len(rules)} rules; {report.rules_formed} formed, "
         f"{report.rules_removed} removed, {report.passes} passes",
-        file=_sys.stderr,
     )
-    return 0
 
 
-def _cmd_reduce(args: argparse.Namespace) -> int:
+def _cmd_reduce(args: argparse.Namespace):
     p = _load(args)
-    report = _complete_or_die(p, args)
-    system = report.final_system
+    system = require_complete(complete_presentation(p, _limits(args)))
     word = mu(parse_group(p.alphabet, args.word))
     nf, log = logged_reduce(word, system)
     log = simplify(log)
-    if args.fmt == "json":
-        payload = {
+    return (
+        lambda: {
             "input": render_monoid(word),
             "normal_form": render_monoid(nf),
             "log": render_ysequence(log),
             "log_terms": _terms_json(log),
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(f"I = {render_monoid(nf)}")
-    print(f"L = {render_ysequence(log)}")
-    return 0
+        },
+        lambda: [(f"I = {render_monoid(nf)}",), (f"L = {render_ysequence(log)}",)],
+        None,
+    )
 
 
-def _k1_rows(graph) -> list[tuple[str, str, str, str]]:
-    alphabet = graph.sys.presentation.alphabet
-    rows = [("edge", "target", "word", "k1")]
-    for (g, gen), e in sorted(
-        graph.edges.items(),
-        key=lambda kv: (len(kv[0][0]), kv[0][0].letters, kv[0][1]),
-    ):
-        rows.append(
+def _cmd_kone(args: argparse.Namespace):
+    system = require_complete(complete_presentation(_load(args), _limits(args)))
+    graph = build_cayley_graph(system, args.vertex_cap)
+    names = system.presentation.alphabet.names
+
+    def rows() -> list[tuple[str, str, str, str]]:
+        return [("edge", "target", "word", "k1")] + [
             (
-                f"[{render_monoid(g)}, {alphabet.names[gen]}]",
+                f"[{render_monoid(g)}, {names[gen]}]",
                 render_monoid(e.target),
                 render_monoid(k1_word(g, gen, e.target)),
                 render_ysequence(e.k1),
             )
-        )
-    return rows
-
-
-def _cmd_kone(args: argparse.Namespace) -> int:
-    p = _load(args)
-    report = _complete_or_die(p, args)
-    rows = _k1_rows(build_cayley_graph(report.final_system, args.vertex_cap))
-    if args.fmt == "json":
-        payload = [
-            {"edge": r[0], "target": r[1], "word": r[2], "k1": r[3]}
-            for r in rows[1:]
+            for (g, gen), e in sorted(
+                graph.edges.items(),
+                key=lambda kv: (len(kv[0][0]), kv[0][0].letters, kv[0][1]),
+            )
         ]
-        print(json.dumps(payload, indent=2))
-    else:
-        print(_table(rows))
-    return 0
+
+    def payload() -> list[dict]:
+        header, *body = rows()
+        return [dict(zip(header, row)) for row in body]
+
+    return payload, rows, None
 
 
-def _cmd_identities(args: argparse.Namespace) -> int:
-    p = _load(args)
-    result = identities_pipeline(p, _limits(args), args.vertex_cap)
+def _cmd_identities(args: argparse.Namespace):
+    result = identities_pipeline(_load(args), _limits(args), args.vertex_cap)
     records = result.records if args.keep_all else result.kept
-    if args.fmt == "json":
-        payload = [
+    return (
+        lambda: [
             {
-                "cycle": {
-                    "g": render_monoid(r.vertex),
-                    "rho": r.relator.label,
-                },
+                "cycle": {"g": render_monoid(r.vertex), "rho": r.relator.label},
                 "terms": _terms_json(r.sequence),
                 "sequence": render_ysequence(r.sequence),
                 "status": r.status,
             }
             for r in records
-        ]
-        print(json.dumps(payload, indent=2))
-        return 0
-    rows = [("cycle", "status", "identity")]
-    rows += [
-        (
-            f"[{render_monoid(r.vertex)}, {r.relator.label}]",
-            r.status,
-            render_ysequence(r.sequence),
-        )
-        for r in records
-    ]
-    print(_table(rows))
-    print(
+        ],
+        lambda: [("cycle", "status", "identity")] + [
+            (
+                f"[{render_monoid(r.vertex)}, {r.relator.label}]",
+                r.status,
+                render_ysequence(r.sequence),
+            )
+            for r in records
+        ],
         f"# {len(result.records)} records, {len(result.kept)} kept, "
         f"{result.too_long_for_primary} too long for the primary test",
-        file=_sys.stderr,
     )
-    return 0
 
 
+# each returns (payload, rows, summary), as the module docstring says
 _COMMANDS = {
     "complete": _cmd_complete,
     "reduce": _cmd_reduce,
@@ -276,9 +248,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
+        payload, rows, summary = _COMMANDS[args.command](args)
+        if args.fmt == "json":
+            print(json.dumps(payload(), indent=2))
+        else:
+            print(_table(rows()))
+            if summary is not None:
+                print(summary, file=_sys.stderr)
         _sys.stdout.flush()  # a closed pipe shows here, not at exit
-        return code
+        return 0
     except BrokenPipeError:
         # the reader went away: say nothing, and point stdout at devnull
         # so that the flush at exit does not fail again (the recipe of

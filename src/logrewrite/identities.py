@@ -134,10 +134,8 @@ def build_cayley_graph(
 ) -> CayleyGraph:
     """Breadth-first closure from the identity under right multiplication
     by the positive generators, with chosen k1 on every edge."""
-    if not sys.complete:
-        raise WordError("Cayley graph construction requires a complete system")
+    nf = normal_form_fn(sys)  # raises WordError unless sys is complete
     alphabet = sys.presentation.alphabet
-    nf = normal_form_fn(sys)
     origin = MonoidWord(alphabet)
     vertices = [origin]
     index = {origin}

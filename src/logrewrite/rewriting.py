@@ -16,7 +16,6 @@ from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Callable, Container, Iterable, Optional, Union
 
-from .orderings import GT, LT
 from .presentation import Presentation
 from .words import (
     GroupWord,
@@ -301,7 +300,8 @@ def _reduce(
     rules whose ids are not in ``skip``.  The log's terms are appended to
     ``log`` when it is a list; when it is None, the inverse prefix is not
     kept and no log is acted on.  The id of every rule applied is added
-    to ``applied`` when it is a set.
+    to ``applied`` when it is a set.  A word over another alphabet than
+    the system's raises ``WordError``.
 
     The scan reads the word left to right on the system's automaton
     (``LoggedRewriteSystem.automaton``), keeping ``states[j]``, the
@@ -359,6 +359,12 @@ def _reduce(
     built with the trusted constructors.
     """
     alphabet = w.alphabet
+    if alphabet is not sys.presentation.alphabet:  # one test when it is
+        if alphabet != sys.presentation.alphabet:
+            raise WordError(
+                f"word {_brief(w)} not over the system's alphabet "
+                f"{sys.presentation.alphabet!r}"
+            )
     word = w.letters
     delta, out, nested, depth = sys.automaton()
     by_id = sys._by_id
@@ -557,11 +563,14 @@ def _descendants(
     return w, _monoid_word(al, ra.rhs.letters + lb[len(la) - o.pos :])
 
 
-def _joins(o: OverlapDescriptor, sys: LoggedRewriteSystem) -> bool:
-    """Whether the overlap resolves: both descendants have one normal
-    form.  No log is built."""
+def _normal_forms(
+    o: OverlapDescriptor, sys: LoggedRewriteSystem, applied: Optional[set] = None
+) -> tuple[MonoidWord, MonoidWord]:
+    """The normal forms ``(z, z')`` of the two descendants of the overlap;
+    it resolves when they are equal.  No log is built; the id of every
+    rule applied is added to ``applied`` when it is a set."""
     w, wprime = _descendants(o, sys)
-    return _reduce(w, sys) == _reduce(wprime, sys)
+    return _reduce(w, sys, applied=applied), _reduce(wprime, sys, applied=applied)
 
 
 def process_overlap(
@@ -691,26 +700,20 @@ def complete_presentation(
         new_rules: list[LoggedRule] = []
         joined: list[OverlapDescriptor] = []
         for o in pending:
-            w, wprime = _descendants(o, sys)
             applied: set[int] = set()
-            z = _reduce(w, sys, applied=applied)
-            zprime = _reduce(wprime, sys, applied=applied)
+            z, zprime = _normal_forms(o, sys, applied)
             if z == zprime:
                 joined.append(o)
                 continue
-            cmp = p.order.compare(z, zprime)
-            if cmp == LT:
-                lhs, rhs = zprime, z
-            elif cmp == GT:
-                lhs, rhs = z, zprime
-            else:  # pragma: no cover - z != z' and the order is total
-                raise AssertionError("unordered critical pair")
+            # the key is injective, so z != z' orients the pair
+            gt = p.order.key(z) > p.order.key(zprime)
+            lhs, rhs = (z, zprime) if gt else (zprime, z)
             reads = (
                 sys._by_id[o.rule_a],
                 sys._by_id[o.rule_b],
                 *(sys._by_id[i] for i in applied),
             )
-            build = partial(_pair_log, o, sys, cmp == GT)
+            build = partial(_pair_log, o, sys, gt)
             new_rules.append(_formed_rule(lhs, rhs, next_id, reads, build))
             next_id += 1
         report._harvest.append((sys, joined))
@@ -726,7 +729,8 @@ def complete_presentation(
             frontier = {r.id for r in new_rules}
             continue
         # certification pass: every overlap of the final system must resolve
-        if all(_joins(o, sys) for o in find_overlaps(sys)):
+        pairs = (_normal_forms(o, sys) for o in find_overlaps(sys))
+        if all(z == zprime for z, zprime in pairs):
             sys.complete = True
         else:  # pragma: no cover - the loop converged
             report.stopped = UNRESOLVED

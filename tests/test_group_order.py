@@ -5,13 +5,20 @@ completed system's normal forms span has as many vertices as HLT coset
 enumeration (``tests/todd_coxeter.py``) closes with cosets of the trivial
 subgroup.  The enumerator reads the relators with ``perfbench/check.py``'s
 parser and shares no code with ``logrewrite``.
+
+A generated corpus of cyclic, dihedral, dicyclic, product and symmetric
+groups is checked the same way, and every certificate the pipeline makes
+for it (rule logs, ``k1`` on every edge, kept identities) is checked on
+its rendered text by ``perfbench/check.py``.
 """
 
 import pytest
 
-from logrewrite import complete_presentation, parse_presentation
+from logrewrite import complete_presentation, identities_pipeline, parse_presentation
 from logrewrite.identities import build_cayley_graph
 from logrewrite.rewriting import require_complete
+from logrewrite.words import render_monoid
+from logrewrite.ysequences import render_ysequence
 from tests.conftest import load_checker
 from tests.todd_coxeter import CosetCapError, coset_count
 
@@ -38,19 +45,74 @@ GROUPS = {
 }
 
 
+# the generated corpus: name -> generators, relators
+CORPUS = {
+    **{f"z{n}": ("a", (f"a^{n}",)) for n in (2, 3, 7, 12, 31)},
+    **{f"d{2 * n}": ("ab", (f"a^{n}", "b^2", "a b a b")) for n in (3, 5, 8, 13)},
+    **{
+        f"q{4 * n}": ("ab", (f"a^{2 * n}", f"b^2 a^-{n}", "b^-1 a b a"))
+        for n in (2, 3, 5)
+    },
+    "z2xz4": ("ab", ("a^2", "b^4", "a b a^-1 b^-1")),
+    "z3xs3": (
+        "abc",
+        ("a^3", "b^3", "c^2", "b c b c", "a b a^-1 b^-1", "a c a^-1 c^-1"),
+    ),
+    "s5_coxeter": (
+        "abcd",
+        (
+            *(f"{x}^2" for x in "abcd"),
+            *(_power(pair, 3) for pair in ("a b", "b c", "c d")),
+            *(_power(pair, 2) for pair in ("a c", "a d", "b d")),
+        ),
+    ),
+    "s5": ("ab", ("a^2", "b^5", _power("a b", 4), _power("a b^-1 a b", 3))),
+}
+
+
 def cosets(generators, relators, cap=100_000):
     return coset_count(
         [ord(g) for g in generators], [check.parse_relator(r) for r in relators], cap
     )
 
 
+def presentation(generators, relators):
+    text = f"generators: {', '.join(generators)}\norder: shortlex\nrelators:\n"
+    text += "".join(f"  r{i} = {r}\n" for i, r in enumerate(relators, 1))
+    return parse_presentation(text)
+
+
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_cayley_vertices_are_the_coset_count(name):
     generators, relators = GROUPS[name]
-    text = f"generators: {', '.join(generators)}\norder: shortlex\nrelators:\n"
-    text += "".join(f"  r{i} = {r}\n" for i, r in enumerate(relators, 1))
-    system = require_complete(complete_presentation(parse_presentation(text)))
+    p = presentation(generators, relators)
+    system = require_complete(complete_presentation(p))
     assert len(build_cayley_graph(system).vertices) == cosets(generators, relators)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_corpus_order_and_certificates(name):
+    generators, relators = CORPUS[name]
+    rels = {f"r{i}": check.parse_relator(r) for i, r in enumerate(relators, 1)}
+    result = identities_pipeline(presentation(generators, relators))
+    graph = result.graph
+    assert len(graph.vertices) == cosets(generators, relators)
+    for r in result.report.final_system.rules:
+        check.check_rule(
+            render_monoid(r.lhs), render_monoid(r.rhs), render_ysequence(r.log), rels
+        )
+    assert len(graph.edges) == len(graph.vertices) * len(generators)
+    for (g, gen), e in graph.edges.items():
+        check.check_edge(
+            render_monoid(g),
+            generators[gen],
+            render_monoid(e.target),
+            render_ysequence(e.k1),
+            rels,
+        )
+    assert result.kept
+    for record in result.kept:
+        check.check_identity(render_ysequence(record.sequence), rels)
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,7 @@ from logrewrite.rewriting import (
     require_complete,
 )
 from logrewrite.words import (
+    Alphabet,
     GroupWord,
     MonoidWord,
     WordError,
@@ -141,6 +142,32 @@ class TestLoggedReduce:
         assert str(exc.value) == (
             "word length budget exceeded while reducing "
             f"MonoidWord('{'X' * 40}')… (45 letters)"
+        )
+
+    def test_word_over_another_alphabet_raises(self, q8_system):
+        # over {x, y}, whose codes are those of {a, b}: reducing it
+        # silently gave the normal form y with the log (r1^+)
+        w = parse_monoid(Alphabet(["x", "y"]), "x x x x y")
+        with pytest.raises(WordError, match="not over the system's alphabet"):
+            logged_reduce(w, q8_system)
+
+    def test_word_over_a_larger_alphabet_raises(self):
+        # the letters of b have no row in the automaton of Z3 = <a | a^3>
+        z3 = require_complete(
+            complete_presentation(parse_presentation(_pin_text("a", ["r = a^3"])))
+        )
+        w = parse_monoid(Alphabet(["a", "b"]), "a a a b")
+        with pytest.raises(WordError, match="not over the system's alphabet"):
+            logged_reduce(w, z3)
+        with pytest.raises(WordError, match="not over the system's alphabet"):
+            rewriting._reduce(w, z3)
+
+    def test_word_from_another_parse_reduces(self, q8, q8_system):
+        alphabet = parse_presentation(Q8_TEXT).alphabet
+        assert alphabet is not q8.alphabet and alphabet == q8.alphabet
+        w = parse_monoid(alphabet, "abba")
+        assert logged_reduce(w, q8_system) == logged_reduce(
+            parse_monoid(q8.alphabet, "abba"), q8_system
         )
 
 
