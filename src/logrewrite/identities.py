@@ -189,7 +189,10 @@ def separation_identity(
 ) -> YSequence:
     """The identity of the relator cycle [g, rho]:
     ``(rho^-) . (k1 of the cycle)^{sigma g}``, adjacent inverse pairs
-    cancelled.  Always boundary-trivial."""
+    cancelled.  Always boundary-trivial.  A relator not of the graph's
+    presentation raises ``WordError``."""
+    if rho not in graph.sys.presentation.relators:
+        raise WordError(f"relator {rho!r} is not one of the presentation's")
     alphabet = g.alphabet
     cycle = ()
     for e, direction in relator_cycle_edges(g, rho, graph):
@@ -365,7 +368,9 @@ def identity_for(
 ) -> YSequence:
     """A single separation identity for a user-supplied group element,
     without building the (possibly infinite) Cayley graph; ``sys`` must
-    be complete."""
+    be complete, and ``rho`` one of its presentation's relators."""
+    if rho not in sys.presentation.relators:
+        raise WordError(f"relator {rho!r} is not one of the presentation's")
     n = normal_form_fn(sys)(mu(g))
     sigma = mu_inverse(n)
     word = mu(free_multiply(free_multiply(sigma, rho.word), inverse(sigma)))

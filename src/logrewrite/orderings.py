@@ -21,8 +21,6 @@ from typing import Sequence
 
 from .words import Alphabet, MonoidWord, WordError, flip
 
-LT, EQ, GT = -1, 0, 1
-
 
 @dataclass(frozen=True)
 class OrderSpec:
@@ -56,10 +54,6 @@ class OrderSpec:
                 f"alphabet {every}"
             )
         object.__setattr__(self, "_rank", {c: i for i, c in enumerate(order)})
-
-    def compare(self, u: MonoidWord, v: MonoidWord) -> int:
-        ku, kv = self.key(u), self.key(v)
-        return (ku > kv) - (ku < kv)
 
     def key(self, w: MonoidWord) -> tuple:
         """The sort key of ``w`` (see the module docstring)."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
 from operator import attrgetter
-from typing import Callable, Container, Iterable, Optional, Union
+from typing import Callable, Container, Iterable, Optional
 
 from .presentation import Presentation
 from .words import (
@@ -542,16 +542,6 @@ def find_overlaps(
     return out
 
 
-@dataclass(frozen=True)
-class Resolved:
-    identity: YSequence
-
-
-@dataclass(frozen=True)
-class NewPair:
-    log: YSequence
-
-
 def _descendants(
     o: OverlapDescriptor, sys: LoggedRewriteSystem
 ) -> tuple[MonoidWord, MonoidWord]:
@@ -573,32 +563,25 @@ def _normal_forms(
     return _reduce(w, sys, applied=applied), _reduce(wprime, sys, applied=applied)
 
 
-def process_overlap(
-    o: OverlapDescriptor, sys: LoggedRewriteSystem
-) -> Union[Resolved, NewPair]:
-    """Reduce both descendants of the overlap word and compare.
-
-    Returns the connecting Y-sequence either as a harvested identity (the
-    pair resolves) or as the certificate of the new critical-pair rule,
-    satisfying ``z' = boundary(log) * z`` in F(X), where z and z' are the
-    normal forms of the descendants ``u r v`` and ``r' v'``.
-    """
+def process_overlap(o: OverlapDescriptor, sys: LoggedRewriteSystem) -> YSequence:
+    """The connecting log of the overlap: a Y-sequence with ``z' =
+    boundary(log) * z`` in F(X), where z and z' are the normal forms of
+    the descendants ``u r v`` and ``r' v'``.  It is the pair's harvested
+    identity when z = z' (``_normal_forms`` decides which), else the
+    log of the pair's rule z' -> z before ``peiffer_closure``."""
     w, wprime = _descendants(o, sys)
-    z, d = logged_reduce(w, sys)
-    zp, dp = logged_reduce(wprime, sys)
+    d = logged_reduce(w, sys)[1]
+    dp = logged_reduce(wprime, sys)[1]
     ra, rb = _rule(sys, o.rule_a), _rule(sys, o.rule_b)
     u = _monoid_word(sys.presentation.alphabet, ra.lhs.letters[: o.pos])
-    log = invert(dp) + invert(ra.log) + act(rb.log, inverse(mu_inverse(u))) + d
-    if z == zp:
-        return Resolved(identity=log)
-    return NewPair(log=log)
+    return invert(dp) + invert(ra.log) + act(rb.log, inverse(mu_inverse(u))) + d
 
 
 def _pair_log(o: OverlapDescriptor, sys: LoggedRewriteSystem, flip: bool) -> YSequence:
     """The log of a critical pair's rule before ``peiffer_closure``: the
-    connecting log of the overlap ``o`` in ``sys``, inverted when the
-    rule is oriented z -> z'."""
-    log = process_overlap(o, sys).log
+    connecting log of the overlap ``o`` in ``sys`` (``process_overlap``),
+    inverted when the rule is oriented z -> z'."""
+    log = process_overlap(o, sys)
     return invert(log) if flip else log
 
 
@@ -617,8 +600,9 @@ class CompletionReport:
     the non-empty identity of every critical pair that resolved, in the
     order completion met them.  Completion keeps each pass's system and
     the overlaps that resolved there, the recipe a critical pair's rule
-    keeps for its log (``_pair_log``); the list is built from them with
-    ``process_overlap`` on its first read, and later reads return it.
+    keeps for its log (``_pair_log``); the list is built from them on its
+    first read, each identity the overlap's connecting log
+    (``process_overlap``), and later reads return it.
     """
 
     final_system: LoggedRewriteSystem
@@ -640,7 +624,7 @@ class CompletionReport:
             out: list[YSequence] = []
             for sys, overlaps in self._harvest:
                 for o in overlaps:
-                    identity = process_overlap(o, sys).identity
+                    identity = process_overlap(o, sys)
                     if identity:
                         out.append(identity)
             self._identities, self._harvest = out, []

@@ -144,10 +144,6 @@ class MonoidWord(_Word):
     def __repr__(self) -> str:
         return f"MonoidWord({render_monoid(self)!r})"
 
-    def concat(self, other: "MonoidWord") -> "MonoidWord":
-        _check_same(self, other)
-        return _monoid_word(self.alphabet, self.letters + other.letters)
-
 
 class GroupWord(_Word):
     """A freely reduced word in the free group F(X).

@@ -460,6 +460,33 @@ class TestSampledApi:
         s = identity_for(q8_system, g, rho)
         assert boundary(s, q8.alphabet).is_identity()
 
+    @pytest.mark.parametrize("relator", ["r1 = a^3", "r8 = a^8"])
+    def test_foreign_relator_raises(self, q8_system, q8_graph, relator):
+        """A relator that is not Q8's is refused up front.  Taken on trust,
+        ``a^3`` left its relator cycle open and its conjugate unreduced,
+        and ``a^8`` gave ``(r8^-) (r1^+)^{a} (r1^+)^{a}`` as an identity."""
+        other = parse_presentation(f"generators: a, b\nrelators:\n  {relator}\n")
+        rho = other.relators[0]
+        g = q8_graph.vertices[1]
+        message = rf"relator RelatorRef\({relator.split()[0]}=.* not one of"
+        with pytest.raises(WordError, match=message):
+            identity_for(q8_system, mu_inverse(g), rho)
+        with pytest.raises(WordError, match=message):
+            separation_identity(g, rho, q8_graph)
+
+    def test_relator_of_a_second_parse(self, q8, q8_system, q8_graph):
+        """A relator from another parse of Q8's text is Q8's relator."""
+        rho = q8.relator_map()["r3"]
+        again = parse_presentation(Q8_TEXT).relator_map()["r3"]
+        assert again is not rho
+        g = q8_graph.vertices[3]
+        assert identity_for(q8_system, mu_inverse(g), again) == identity_for(
+            q8_system, mu_inverse(g), rho
+        )
+        assert separation_identity(g, again, q8_graph) == separation_identity(
+            g, rho, q8_graph
+        )
+
 
 # every producer of Y-sequences, as a function of the Q8 fixtures, giving
 # the sequences it returned

@@ -19,7 +19,7 @@ from logrewrite.rewriting import (
     Limits,
     LoggedRewriteSystem,
     LoggedRule,
-    Resolved,
+    _normal_forms,
     complete_presentation,
     find_overlaps,
     initial_logged_system,
@@ -743,10 +743,10 @@ class TestOverlaps:
     def test_trefoil_displayed_resolved_identity(self, trefoil_system):
         for o in find_overlaps(trefoil_system):
             if render_monoid(o.word(trefoil_system)) == "Yyyx":
-                res = process_overlap(o, trefoil_system)
-                assert isinstance(res, Resolved)
+                z, zprime = _normal_forms(o, trefoil_system)
+                assert z == zprime
                 assert (
-                    render_ysequence(res.identity)
+                    render_ysequence(process_overlap(o, trefoil_system))
                     == "(r^-)^{y} (r^+)^{x^-1 y} (r^-)^{x^-1 y} (r^+)^{y}"
                 )
                 return
@@ -754,11 +754,26 @@ class TestOverlaps:
 
     def test_complete_system_overlaps_all_resolve(self, q8_system):
         for o in find_overlaps(q8_system):
-            res = process_overlap(o, q8_system)
-            assert isinstance(res, Resolved)
+            z, zprime = _normal_forms(o, q8_system)
+            assert z == zprime
             assert boundary(
-                res.identity, q8_system.presentation.alphabet
+                process_overlap(o, q8_system), q8_system.presentation.alphabet
             ).is_identity()
+
+    def test_connecting_log_of_every_initial_q8_pair(self, q8):
+        """On Q8's initial system the connecting log gives z' = boundary(log)
+        z for every overlap, and is boundary-trivial exactly on the pairs
+        that join: 10 of the 23 overlaps."""
+        sys = initial_logged_system(q8)
+        overlaps = find_overlaps(sys)
+        joined = 0
+        for o in overlaps:
+            z, zprime = _normal_forms(o, sys)
+            delta = boundary(process_overlap(o, sys), q8.alphabet)
+            assert mu_inverse(zprime) == free_multiply(delta, mu_inverse(z))
+            assert delta.is_identity() == (z == zprime)
+            joined += z == zprime
+        assert (joined, len(overlaps)) == (10, 23)
 
 
 class TestCompletion:

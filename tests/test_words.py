@@ -80,10 +80,6 @@ class TestMonoidWord:
         w = parse_monoid(AB, "a a^-1")
         assert len(w) == 2
 
-    def test_concat(self):
-        w = parse_monoid(AB, "a b")
-        assert render_monoid(w.concat(w)) == "abab"
-
     def test_bad_letter_code(self):
         with pytest.raises(WordError):
             MonoidWord(AB, (7,))
