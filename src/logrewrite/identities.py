@@ -30,11 +30,9 @@ from .words import (
     WordError,
     _monoid_word,
     free_multiply,
-    gen_index,
     inverse,
     mu,
     mu_inverse,
-    sign_of,
 )
 from .ysequences import (
     NEG,
@@ -74,20 +72,24 @@ class Edge:
 
 
 class CayleyGraph:
+    """The vertices (irreducible words, BFS order), the edges [g, x] keyed
+    by ``(g, x)`` with their k1, and one step table for walks: reading
+    the signed letter ``c`` at ``v`` crosses ``_step[(v, c)]``, the pair
+    ``([v, x], +1)`` for the letter x, or ``(e, -1)`` for x^-1 and the one
+    edge e labelled x that lands on v (right multiplication by x is a
+    bijection of G)."""
+
     def __init__(self, sys: LoggedRewriteSystem, vertices, edges):
         self.sys = sys
         self.vertices: list[MonoidWord] = list(vertices)
         self.edges: dict[tuple[MonoidWord, int], Edge] = dict(edges)
-        # right multiplication by a generator is a bijection of G, so
-        # exactly one edge labelled x lands on each vertex
-        self._into = {(e.target, e.label): e for e in self.edges.values()}
+        self._step: dict[tuple[MonoidWord, int], tuple[Edge, int]] = {}
+        for e in self.edges.values():
+            self._step[(e.source, 2 * e.label)] = (e, 1)
+            self._step[(e.target, 2 * e.label + 1)] = (e, -1)
 
     def edge(self, g: MonoidWord, gen: int) -> Edge:
         return self.edges[(g, gen)]
-
-    def edge_into(self, h: MonoidWord, gen: int) -> Edge:
-        """The edge labelled ``gen`` whose target is ``h``."""
-        return self._into[(h, gen)]
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -133,7 +135,9 @@ def build_cayley_graph(
     sys: LoggedRewriteSystem, vertex_cap: int = VERTEX_CAP
 ) -> CayleyGraph:
     """Breadth-first closure from the identity under right multiplication
-    by the positive generators, with chosen k1 on every edge."""
+    by the positive generators, with chosen k1 on every edge.  The k1
+    values wait for the closure, so a group that exceeds ``vertex_cap``
+    raises ``InfiniteGroupError`` before any is computed."""
     nf = normal_form_fn(sys)  # raises WordError unless sys is complete
     alphabet = sys.presentation.alphabet
     origin = MonoidWord(alphabet)
@@ -161,24 +165,19 @@ def build_cayley_graph(
 def relator_cycle_edges(
     g: MonoidWord, rho: RelatorRef, graph: CayleyGraph
 ) -> list[tuple[Edge, int]]:
-    """The relator cycle based at g, edge by edge.
-
-    A positive letter contributes the forward edge at the current vertex;
-    a negative letter moves against the arrow of the edge that lands on
-    the current vertex, contributing it reversed (direction -1).
-    """
+    """The relator cycle based at g, edge by edge: one step-table lookup
+    per letter of ``rho``, giving the edge the letter crosses and its
+    direction, +1 forwards, -1 backwards.  A ``g`` that is not a vertex
+    of ``graph`` raises ``WordError``."""
+    if (g, 0) not in graph.edges:  # a vertex has an edge for each generator
+        raise WordError(f"{g!r} is not a vertex of the Cayley graph")
+    step = graph._step
     current = g
     out: list[tuple[Edge, int]] = []
-    for c in mu(rho.word):
-        gen = gen_index(c)
-        if sign_of(c) > 0:
-            e = graph.edge(current, gen)
-            out.append((e, 1))
-            current = e.target
-        else:
-            e = graph.edge_into(current, gen)
-            out.append((e, -1))
-            current = e.source
+    for c in rho.word.letters:
+        e, direction = hop = step[(current, c)]
+        out.append(hop)
+        current = e.target if direction > 0 else e.source
     if current != g:  # pragma: no cover - relators map to the identity
         raise WordError(f"relator cycle for {rho!r} did not close at {g!r}")
     return out
@@ -190,7 +189,7 @@ def separation_identity(
     """The identity of the relator cycle [g, rho]:
     ``(rho^-) . (k1 of the cycle)^{sigma g}``, adjacent inverse pairs
     cancelled.  Always boundary-trivial.  A relator not of the graph's
-    presentation raises ``WordError``."""
+    presentation, or a ``g`` that is not a vertex, raises ``WordError``."""
     if rho not in graph.sys.presentation.relators:
         raise WordError(f"relator {rho!r} is not one of the presentation's")
     alphabet = g.alphabet
@@ -245,16 +244,26 @@ def _orbit_key(s: YSequence) -> tuple:
     )
 
 
-def _translates_to_kept(c: YSequence, kept_orbits: dict, vertex_words: set) -> bool:
-    """True when ``act(c, sigma)`` is a kept form for some ``sigma`` in
-    ``vertex_words``."""
-    if not c:
-        return False
-    back = inverse(c[0].conjugator)
-    return any(
-        free_multiply(back, u0).letters in vertex_words
-        for u0 in kept_orbits.get(_orbit_key(c), ())
-    )
+def _duplicate_status(
+    form: YSequence, kept_orbits: dict, vertex_words: set
+) -> str | None:
+    """``duplicate``, ``inverse-dup``, ``conjugate-dup`` or ``None`` for a
+    record with the cancelled form ``form``: ``act(c, sigma)`` is a kept
+    form exactly when ``c`` has its orbit key and ``sigma`` is the
+    quotient of their first conjugators.  A quotient of 1 is an exact
+    match of ``form`` or of its inverse, decided at once; another vertex
+    word is a conjugate match."""
+    conjugate = False
+    for c, exact in ((form, DUPLICATE), (invert(form), INVERSE_DUP)):
+        if not c:
+            continue
+        back = inverse(c[0].conjugator)
+        for u0 in kept_orbits.get(_orbit_key(c), ()):
+            quotient = free_multiply(back, u0).letters
+            if not quotient:
+                return exact
+            conjugate = conjugate or quotient in vertex_words
+    return CONJUGATE_DUP if conjugate else None
 
 
 def simplify_identity_list(
@@ -264,21 +273,21 @@ def simplify_identity_list(
 
     A record is dropped when its sequence is empty, satisfies the primary
     identity property, or matches an earlier kept record exactly, as an
-    inverse, or as a conjugate by a group element.  Only adjacent inverse
-    pairs are cancelled here -- no exchange-rule search -- so the kept
-    forms are exactly what the relator cycles produced.
+    inverse, or as a conjugate by a group element, in that order.  Only
+    adjacent inverse pairs are cancelled here -- no exchange-rule search
+    -- so the kept forms are exactly what the relator cycles produced.
 
-    A record is a conjugate duplicate when ``act(c, sigma)`` equals a kept
-    form ``K`` for some non-trivial vertex word ``sigma``, where ``c`` is
-    the record with adjacent pairs cancelled or its cancelled inverse.
-    (Cancelling after acting is cancelling before: right multiplication
-    by ``sigma`` is injective, so it neither makes nor breaks an inverse
-    pair.)  Rather than acting by every vertex, the kept forms are filed
-    by :func:`_orbit_key`: ``act(c, sigma) = K`` holds exactly when the
-    keys of ``c`` and ``K`` agree and ``sigma`` is the quotient
-    ``u_0(c)^-1 u_0(K)`` of their first conjugators, so the test is a key
-    lookup and one product per kept form in that orbit, and it decides
-    the same as scanning every vertex.
+    A match is ``act(c, sigma) = K`` for a kept form ``K`` and a vertex
+    word ``sigma``, exact when ``sigma`` is 1, the identity vertex's word,
+    where ``c`` is the record with adjacent inverse pairs cancelled, or
+    its inverse.  (Cancelling after acting is cancelling before: right
+    multiplication by ``sigma`` is injective, so it neither makes nor
+    breaks an inverse pair.)  The relator cycles' records are cancelled
+    already; a caller's uncancelled record is decided, and filed when
+    kept, by its cancelled form, and one that cancels to nothing matches
+    nothing.  The kept forms are filed by :func:`_orbit_key`, so one key
+    lookup and one product per kept form in that orbit decide all three
+    matches, as acting by every vertex would.
 
     The primary test reduces with ``graph.sys``, which is complete.
     Records longer than ``PRIMARY_MAX_TERMS`` are not tested and count
@@ -289,11 +298,9 @@ def simplify_identity_list(
     alphabet = graph.sys.presentation.alphabet
     nf = normal_form_fn(graph.sys)
     ordered = sorted(records, key=_sort_key)
-    kept_forms: set[YSequence] = set()
     # orbit key -> the first conjugators of the kept forms with that key
     kept_orbits: dict[tuple, list[GroupWord]] = {}
     vertex_words = {mu_inverse(v).letters for v in graph.vertices}
-    vertex_words.discard(())
     for rec in ordered:
         seq = rec.sequence
         if not seq:
@@ -302,22 +309,10 @@ def simplify_identity_list(
         if len(seq) <= PRIMARY_MAX_TERMS and is_primary_identity(seq, nf, alphabet):
             rec.status = PRIMARY
             continue
-        if seq in kept_forms:
-            rec.status = DUPLICATE
-            continue
-        inverted = cancel_adjacent(invert(seq))
-        if inverted in kept_forms:
-            rec.status = INVERSE_DUP
-            continue
-        if any(
-            _translates_to_kept(c, kept_orbits, vertex_words)
-            for c in (cancel_adjacent(seq), inverted)
-        ):
-            rec.status = CONJUGATE_DUP
-            continue
-        rec.status = KEPT
-        kept_forms.add(seq)
-        kept_orbits.setdefault(_orbit_key(seq), []).append(seq[0].conjugator)
+        form = cancel_adjacent(seq)
+        rec.status = _duplicate_status(form, kept_orbits, vertex_words) or KEPT
+        if rec.status == KEPT and form:
+            kept_orbits.setdefault(_orbit_key(form), []).append(form[0].conjugator)
     return ordered
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .words import Alphabet, MonoidWord, WordError, flip
+from .words import Alphabet, MonoidWord, WordError
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class OrderSpec:
         if not order:
             order = tuple(letters)
             if self.kind == "syllable":  # xn+ < xn- < ... < x1+ < x1-
-                order = tuple(flip(c) for c in reversed(order))
+                order = tuple(c ^ 1 for c in reversed(order))
             object.__setattr__(self, "letter_order", order)
         if sorted(order) != list(letters):
             name = self.alphabet.letter_name

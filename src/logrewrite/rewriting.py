@@ -23,7 +23,6 @@ from .words import (
     WordError,
     _group_word,
     _monoid_word,
-    flip,
     free_multiply,
     inverse,
     mu,
@@ -262,7 +261,7 @@ def initial_logged_system(p: Presentation) -> LoggedRewriteSystem:
     of them), with ids from 1 in that order."""
     al = p.alphabet
     pairs = [(mu(rho.word), (YTerm(rho, POS, GroupWord(al)),)) for rho in p.relators]
-    pairs += [(MonoidWord(al, (c, flip(c))), ()) for c in al.letters()]
+    pairs += [(MonoidWord(al, (c, c ^ 1)), ()) for c in al.letters()]
     empty = MonoidWord(al)
     rules = [LoggedRule(l, log, empty, i) for i, (l, log) in enumerate(pairs, 1)]
     return LoggedRewriteSystem(p, rules)
@@ -345,7 +344,7 @@ def _reduce(
     ``REDUCE_MAX_STEPS`` and adds its id to ``applied``.
 
     The inverse prefix is kept at a cursor ``k``: ``inv`` is the free
-    reduction of ``word[:k]`` with every letter flipped, so ``inv[::-1]``
+    reduction of ``word[:k]`` with every letter inverted, so ``inv[::-1]``
     is ``(word[:k])^-1``, and ``undo[i]`` says what consuming ``word[i]``
     did (-1: pushed, else the letter it cancelled).  A rewrite at ``pos``
     leaves ``word[:pos]`` alone, so a cursor at ``k <= pos`` stays valid
@@ -577,12 +576,12 @@ def process_overlap(o: OverlapDescriptor, sys: LoggedRewriteSystem) -> YSequence
     return invert(dp) + invert(ra.log) + act(rb.log, inverse(mu_inverse(u))) + d
 
 
-def _pair_log(o: OverlapDescriptor, sys: LoggedRewriteSystem, flip: bool) -> YSequence:
+def _pair_log(o: OverlapDescriptor, sys: LoggedRewriteSystem, inverted: bool) -> YSequence:
     """The log of a critical pair's rule before ``peiffer_closure``: the
     connecting log of the overlap ``o`` in ``sys`` (``process_overlap``),
     inverted when the rule is oriented z -> z'."""
     log = process_overlap(o, sys)
-    return invert(log) if flip else log
+    return invert(log) if inverted else log
 
 
 # -- completion --------------------------------------------------------------

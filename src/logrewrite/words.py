@@ -14,8 +14,8 @@ the ``mu`` translations) build their results through the trusted
 ``_monoid_word`` / ``_group_word`` instead.  Their inputs are already
 valid words over one alphabet, so every output code is valid too; and
 since a product of two reduced words can only cancel where they meet
-and the reversed flipped form of a reduced word is reduced, neither
-needs a full reduction pass.  The logged reducer (``rewriting._reduce``)
+and a reduced word read backwards with every letter inverted is
+reduced, neither needs a full reduction pass.  The logged reducer (``rewriting._reduce``)
 builds the conjugators of its log terms through ``_group_word`` on the
 same grounds, and the terms themselves through the trusted
 ``ysequences._yterm``.
@@ -85,18 +85,6 @@ class Alphabet:
         if code & 1:
             return name.upper() if len(name) == 1 and name.islower() else name + "-"
         return name if len(name) == 1 and name.islower() else name + "+"
-
-
-def flip(code: int) -> int:
-    return code ^ 1
-
-
-def sign_of(code: int) -> int:
-    return NEG if code & 1 else POS
-
-
-def gen_index(code: int) -> int:
-    return code >> 1
 
 
 class _Word:
@@ -226,7 +214,8 @@ def free_multiply(u: GroupWord, v: GroupWord) -> GroupWord:
 
 
 def inverse(w: GroupWord) -> GroupWord:
-    """Group inverse; the reversed flipped word of a reduced word is reduced."""
+    """Group inverse: a reduced word read backwards with every letter
+    inverted is reduced."""
     if not w.letters:
         return w
     return _group_word(w.alphabet, tuple([c ^ 1 for c in reversed(w.letters)]))
@@ -251,7 +240,7 @@ def render_group(w: GroupWord) -> str:
         return "<id>"
     parts = []
     for c in w.letters:
-        name = w.alphabet.names[gen_index(c)]
+        name = w.alphabet.names[c >> 1]
         parts.append(name + "^-1" if c & 1 else name)
     return " ".join(parts)
 

@@ -163,7 +163,7 @@ def act(s: YSequence, v: GroupWord) -> YSequence:
 
 
 def invert(s: YSequence) -> YSequence:
-    """Formal inverse: reverse the terms and flip each sign."""
+    """Formal inverse: reverse the terms and negate each sign."""
     return tuple([t.inverted() for t in reversed(s)])
 
 

@@ -1,6 +1,9 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from logrewrite import identities
 from logrewrite.identities import (
     CONJUGATE_DUP,
     DUPLICATE,
@@ -30,6 +33,7 @@ from logrewrite.rewriting import (
     normal_form_fn,
 )
 from logrewrite.words import (
+    Alphabet,
     GroupWord,
     WordError,
     free_multiply,
@@ -72,6 +76,7 @@ relators:
   r6 = a c a c
 """
 Z6XZ6_TEXT = "generators: a, b\nrelators:\n  r1 = a^6\n  r2 = b^6\n  r3 = a b a^-1 b^-1\n"
+A5_TEXT = "generators: a, b\nrelators:\n  r1 = a^2\n  r2 = b^3\n  r3 = a b a b a b a b a b\n"
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +123,17 @@ class TestCayleyGraph:
     def test_infinite_group_cap(self, abelian_system):
         with pytest.raises(InfiniteGroupError):
             build_cayley_graph(abelian_system, vertex_cap=64)
+
+    def test_cap_is_hit_before_any_k1(self, abelian_system, monkeypatch):
+        """k1 waits for the vertex closure, so an infinite group exceeds
+        the cap before a single k1 is computed.  With k1 computed as each
+        vertex leaves the queue, Z^2 reached the default cap about eight
+        times slower."""
+        calls = []
+        monkeypatch.setattr(identities, "compute_k1", lambda *args: calls.append(args))
+        with pytest.raises(InfiniteGroupError):
+            build_cayley_graph(abelian_system, vertex_cap=64)
+        assert not calls
 
     def test_requires_complete_system(self, q8):
         from logrewrite.rewriting import initial_logged_system
@@ -168,6 +184,20 @@ class TestRelatorCycles:
             for g in q8_graph.vertices:
                 path = relator_cycle_edges(g, rho, q8_graph)
                 assert len(path) == len(rho.word)
+
+    @pytest.mark.parametrize("word", ["aaaa", "Ab", "x"])
+    def test_non_vertex_raises(self, q8, q8_graph, word):
+        """A word that is not a vertex of Q8's graph (reducible, or over
+        another alphabet) is refused before the walk, not left to fail
+        with ``KeyError`` at an edge lookup."""
+        alphabet = Alphabet(["x", "y"]) if word == "x" else q8.alphabet
+        g = parse_monoid(alphabet, word)
+        rho = q8.relators[0]
+        message = re.escape(f"{g!r} is not a vertex")
+        with pytest.raises(WordError, match=message):
+            relator_cycle_edges(g, rho, q8_graph)
+        with pytest.raises(WordError, match=message):
+            separation_identity(g, rho, q8_graph)
 
 
 class TestSeparationIdentities:
@@ -321,8 +351,8 @@ def both_discards(records, graph):
 class TestDiscardMatchesTranslateScan:
     @pytest.mark.parametrize(
         "text",
-        [Q8_TEXT, S4_TEXT, S4_COXETER_TEXT, Z6XZ6_TEXT],
-        ids=["q8", "s4", "s4_coxeter", "z6xz6"],
+        [Q8_TEXT, S4_TEXT, S4_COXETER_TEXT, Z6XZ6_TEXT, A5_TEXT],
+        ids=["q8", "s4", "s4_coxeter", "z6xz6", "a5"],
     )
     def test_corpus(self, text):
         p = parse_presentation(text)
@@ -345,16 +375,37 @@ class TestDiscardCases:
         kept = next(r for r in q8_pipeline.kept if len(r.sequence) > 1)
         return graph, kept
 
-    def _pair(self, q8, setting, sigma):
-        """Statuses of a kept form and the record that ``sigma`` moves onto it."""
+    def _with_kept(self, q8, setting, seq):
+        """Statuses of a kept form and a record with the sequence ``seq``."""
         graph, kept = setting
-        moved = act(kept.sequence, inverse(sigma))
-        assert act(moved, sigma) == kept.sequence
         records = [
             IdentityRecord(graph.vertices[0], kept.relator, kept.sequence),
-            IdentityRecord(parse_monoid(q8.alphabet, "ab"), kept.relator, moved),
+            IdentityRecord(parse_monoid(q8.alphabet, "ab"), kept.relator, seq),
         ]
         return both_discards(records, graph)
+
+    def _pair(self, q8, setting, sigma):
+        """Statuses of a kept form and the record that ``sigma`` moves onto it."""
+        kept = setting[1]
+        moved = act(kept.sequence, inverse(sigma))
+        assert act(moved, sigma) == kept.sequence
+        return self._with_kept(q8, setting, moved)
+
+    def test_inverse_is_inverse_dup(self, q8, setting):
+        kept = setting[1]
+        new, reference = self._with_kept(
+            q8, setting, cancel_adjacent(invert(kept.sequence))
+        )
+        assert [status for _, _, status in new] == [KEPT, INVERSE_DUP]
+        assert new == reference
+
+    def test_inverse_of_translate_is_conjugate_dup(self, q8, setting):
+        graph, kept = setting
+        for v in graph.vertices[1:]:
+            moved = act(kept.sequence, inverse(mu_inverse(v)))
+            new, reference = self._with_kept(q8, setting, invert(moved))
+            assert [status for _, _, status in new] == [KEPT, CONJUGATE_DUP]
+            assert new == reference
 
     def test_translate_by_vertex_word_is_conjugate_dup(self, q8, setting):
         graph = setting[0]

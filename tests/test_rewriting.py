@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import random
 import sys
-from collections import deque
+from collections import Counter, deque
 from functools import cache
 from unittest import mock
 
@@ -1056,6 +1056,13 @@ class TestPinnedCompletions:
     def test_s5_pipeline(self, s5_pipeline):
         assert len(s5_pipeline.graph) == 120
         assert len(s5_pipeline.kept) == 284
+        assert Counter(r.status for r in s5_pipeline.records) == {
+            "trivial": 53,
+            "kept": 284,
+            "duplicate": 110,
+            "conjugate-dup": 28,
+            "primary": 5,
+        }
 
 
 class TestCompletionWork:

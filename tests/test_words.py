@@ -11,9 +11,7 @@ from logrewrite.words import (
     GroupWord,
     MonoidWord,
     WordError,
-    flip,
     free_multiply,
-    gen_index,
     inverse,
     mu,
     mu_inverse,
@@ -21,7 +19,6 @@ from logrewrite.words import (
     parse_monoid,
     render_group,
     render_monoid,
-    sign_of,
 )
 
 AB = Alphabet(["a", "b"])
@@ -58,11 +55,6 @@ class TestAlphabet:
         multi = Alphabet(["x1"])
         assert multi.letter_name(0) == "x1+"
         assert multi.letter_name(1) == "x1-"
-
-    def test_flip_sign_index(self):
-        assert flip(0) == 1 and flip(3) == 2
-        assert sign_of(0) == 1 and sign_of(1) == -1
-        assert gen_index(2) == 1 and gen_index(3) == 1
 
     def test_invalid(self):
         with pytest.raises(WordError):
