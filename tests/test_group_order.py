@@ -50,7 +50,7 @@ CORPUS = {
     **{f"z{n}": ("a", (f"a^{n}",)) for n in (2, 3, 7, 12, 31)},
     **{f"d{2 * n}": ("ab", (f"a^{n}", "b^2", "a b a b")) for n in (3, 5, 8, 13)},
     **{
-        f"q{4 * n}": ("ab", (f"a^{2 * n}", f"b^2 a^-{n}", "b^-1 a b a"))
+        f"dic{4 * n}": ("ab", (f"a^{2 * n}", f"b^2 a^-{n}", "b^-1 a b a"))
         for n in (2, 3, 5)
     },
     "z2xz4": ("ab", ("a^2", "b^4", "a b a^-1 b^-1")),
@@ -76,16 +76,16 @@ def cosets(generators, relators, cap=100_000):
     )
 
 
-def presentation(generators, relators):
+def presentation_text(generators, relators):
+    """The shortlex presentation file, the relators labelled r1, r2, ..."""
     text = f"generators: {', '.join(generators)}\norder: shortlex\nrelators:\n"
-    text += "".join(f"  r{i} = {r}\n" for i, r in enumerate(relators, 1))
-    return parse_presentation(text)
+    return text + "".join(f"  r{i} = {r}\n" for i, r in enumerate(relators, 1))
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_cayley_vertices_are_the_coset_count(name):
     generators, relators = GROUPS[name]
-    p = presentation(generators, relators)
+    p = parse_presentation(presentation_text(generators, relators))
     system = require_complete(complete_presentation(p))
     assert len(build_cayley_graph(system).vertices) == cosets(generators, relators)
 
@@ -94,7 +94,8 @@ def test_cayley_vertices_are_the_coset_count(name):
 def test_corpus_order_and_certificates(name):
     generators, relators = CORPUS[name]
     rels = {f"r{i}": check.parse_relator(r) for i, r in enumerate(relators, 1)}
-    result = identities_pipeline(presentation(generators, relators))
+    p = parse_presentation(presentation_text(generators, relators))
+    result = identities_pipeline(p)
     graph = result.graph
     assert len(graph.vertices) == cosets(generators, relators)
     for r in result.report.final_system.rules:
