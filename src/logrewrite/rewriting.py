@@ -168,7 +168,20 @@ class LoggedRewriteSystem:
     constructor sorts the rules and indexes them by id; the index
     automaton that ``_reduce`` scans on is built on the first reduction
     (``automaton``).  ``complete`` is set by completion once every
-    overlap of the rules resolves."""
+    overlap of the rules resolves.
+
+    A system also caches, as ``_reduce`` first needs them, what a
+    rewrite by each rule needs: its plan (``_plan``: id, lhs length, rhs
+    letters, and whether it is a free-cancellation rule the scan
+    collapses), the plan of the first rule each automaton state lists
+    (``_first_plan``), and the terms of its log with each term's
+    relator, sign and conjugator letters (``_log_terms``).  A log is
+    cached only by a reduction that builds a log, so a formed rule's log
+    stays unbuilt until it is read.  The caches hold at most one entry
+    per rule and per state, and go with the system.  ``replaced``
+    shares the automaton but not the caches: the new rule keeps the old
+    one's id and lhs, so its states are the same, but its rhs and log
+    are not."""
 
     def __init__(self, presentation: Presentation, rules: Iterable[LoggedRule]):
         self.presentation = presentation
@@ -176,6 +189,9 @@ class LoggedRewriteSystem:
         self.complete = False
         self._by_id = {rule.id: rule for rule in self.rules}
         self._dfa: Optional[tuple[list[int], list, bool, list[int]]] = None
+        self._plans: dict[int, tuple] = {}  # rule id -> plan
+        self._first: dict[int, tuple] = {}  # state -> plan of its first rule
+        self._logs: dict[int, tuple] = {}  # rule id -> (terms, triples)
 
     def rules_by_id(self) -> list[LoggedRule]:
         return list(self.rules)
@@ -183,7 +199,9 @@ class LoggedRewriteSystem:
     def replaced(self, old: LoggedRule, new: LoggedRule) -> LoggedRewriteSystem:
         """This system with the rule ``old`` replaced by ``new``, which has
         its lhs and id.  The automaton depends only on the lhs of each id,
-        so the new system shares this one's."""
+        so the new system shares this one's.  It starts with empty
+        rewrite caches: a plan or log cached under the id ``old`` and
+        ``new`` share would rewrite by ``old``."""
         sys = LoggedRewriteSystem(
             self.presentation, [new if r is old else r for r in self.rules]
         )
@@ -214,6 +232,35 @@ class LoggedRewriteSystem:
                 self.rules, 2 * len(self.presentation.alphabet)
             )
         return self._dfa
+
+    def _plan(self, rule_id: int) -> tuple:
+        """The plan of a rewrite by rule ``rule_id``, ``(id, lhs length,
+        rhs letters, cancel, logged)``: ``cancel`` says the rule is
+        ``x x^-1 -> 1`` with an empty log and no lhs is a subword of
+        another, so ``_reduce`` collapses the run at its seam; ``logged``
+        is ``rule.logged``, read without building the log."""
+        plan = self._plans.get(rule_id)
+        if plan is None:
+            rule = self._by_id[rule_id]
+            lhs, rhs, logged = rule.lhs.letters, rule.rhs.letters, rule.logged
+            nested = self.automaton()[2]
+            cancel = not (nested or rhs or logged) and lhs == (lhs[0], lhs[0] ^ 1)
+            plan = self._plans[rule_id] = (rule_id, len(lhs), rhs, cancel, logged)
+        return plan
+
+    def _first_plan(self, state: int) -> tuple:
+        """The plan of the first rule ``automaton()`` lists at ``state``,
+        which must list one."""
+        plan = self._first[state] = self._plan(self.automaton()[1][state][0][0])
+        return plan
+
+    def _log_terms(self, rule_id: int) -> tuple:
+        """``(terms, triples)``: the log of rule ``rule_id`` and, for each
+        of its terms, the relator, the sign and the conjugator's letters."""
+        terms = self._by_id[rule_id].log
+        triples = tuple([(t.relator, t.sign, t.conjugator.letters) for t in terms])
+        entry = self._logs[rule_id] = (terms, triples)
+        return entry
 
 
 def _index_automaton(
@@ -302,27 +349,35 @@ def _reduce(
     to ``applied`` when it is a set.  A word over another alphabet than
     the system's raises ``WordError``.
 
-    The scan reads the word left to right on the system's automaton
-    (``LoggedRewriteSystem.automaton``), keeping ``states[j]``, the
-    state after ``word[:j]``.  After ``word[j]`` is read into state
-    ``s``, the ``(id, length)`` pairs of ``out[s]`` are the rules whose
-    lhs ends at ``j``, the earliest-starting first and the lowest id
-    first at one start; the first whose id is not in ``skip`` is the
-    candidate ending at ``j``.  The first candidate is the rewrite when
-    no lhs is a subword of another (not ``nested``): a match that starts
-    earlier and ends later would contain it, and one at the same start
-    is a prefix of it or has it as a prefix.  Otherwise the scan keeps
-    the least ``(start, id)`` of the candidates and reads on while the
-    live prefix, the ``depth[s]`` letters before the next one, starts at
-    or before that start; that is its only stopping rule.  A match not
-    yet ended has its letters read so far as a suffix of the word read
-    that is a prefix of an lhs, so it starts within the live prefix;
-    once the live prefix starts later, no match that starts earlier, or
-    at the same start with a lower id, can end later.  A state's depth
-    is at most the longest lhs, so the scan reads at most one letter
-    past the end of the longest lhs that could start at the candidate's
-    start; it usually stops one letter after the candidate.  The chosen
-    rule is looked up by its id once per rewrite.
+    The word is a list, rewritten in place (``word[pos:cut] = rhs``) and
+    made a tuple once, at the end.  The scan reads it left to right on
+    the system's automaton (``LoggedRewriteSystem.automaton``), keeping
+    ``states[j]``, the state after ``word[:j]``.  After ``word[j]`` is
+    read into state ``s``, the ``(id, length)`` pairs of ``out[s]`` are
+    the rules whose lhs ends at ``j``, the earliest-starting first and
+    the lowest id first at one start; the first whose id is not in
+    ``skip`` is the candidate ending at ``j``.  The first candidate is
+    the rewrite when no lhs is a subword of another (not ``nested``): a
+    match that starts earlier and ends later would contain it, and one at
+    the same start is a prefix of it or has it as a prefix.  Otherwise
+    the scan keeps the least ``(start, id)`` of the candidates and reads
+    on while the live prefix, the ``depth[s]`` letters before the next
+    one, starts at or before that start; that is its only stopping rule.
+    A match not yet ended has its letters read so far as a suffix of the
+    word read that is a prefix of an lhs, so it starts within the live
+    prefix; once the live prefix starts later, no match that starts
+    earlier, or at the same start with a lower id, can end later.  A
+    state's depth is at most the longest lhs, so the scan reads at most
+    one letter past the end of the longest lhs that could start at the
+    candidate's start; it usually stops one letter after the candidate.
+
+    What a rewrite needs of its rule is worked out once per system and
+    cached there (``LoggedRewriteSystem._plan``): a reduction that skips
+    no rule takes the plan of the first rule its state lists
+    (``_first_plan``), and one that skips rules, or reads on in a nested
+    system, takes the plan of the rule it chose by id.  A logged rewrite
+    reads the rule's log terms as (relator, sign, conjugator letters)
+    from the same cache (``_log_terms``).
 
     A rewrite at ``pos`` leaves ``word[:pos]`` alone, and no match lies
     inside it, since none starts before ``pos``; so the stack is cut
@@ -353,9 +408,11 @@ def _reduce(
     cursor past ``pos`` back to ``pos``, and builds nothing.  A rewrite
     by a rule with a non-empty log moves the cursor to ``pos`` and
     builds the inverse prefix ``v`` once, as one tuple; each term
-    ``(rho^e)^u`` of the rule's log is appended as ``(rho^e)^{u v}``,
-    the product cancelled at its seam as ``free_multiply`` does and
-    built with the trusted constructors.
+    ``(rho^e)^a`` of the rule's log is appended as ``(rho^e)^{a v}``,
+    built with the trusted constructors.  Both words are reduced, so
+    ``a v`` can cancel only at the seam: it is ``a + v`` unless the last
+    letter of ``a`` cancels the first of ``v``, and only then is the
+    seam cancelled outwards, as ``free_multiply`` does.
     """
     alphabet = w.alphabet
     if alphabet is not sys.presentation.alphabet:  # one test when it is
@@ -364,69 +421,71 @@ def _reduce(
                 f"word {_brief(w)} not over the system's alphabet "
                 f"{sys.presentation.alphabet!r}"
             )
-    word = w.letters
+    max_steps, max_len = REDUCE_MAX_STEPS, REDUCE_MAX_WORD_LEN
+    word = list(w.letters)
     delta, out, nested, depth = sys.automaton()
-    by_id = sys._by_id
+    plans, first, logs = sys._plans, sys._first, sys._logs
     states = [0]
     inv: list[int] = []
     undo: list[int] = []
-    k = 0
-    steps = 0
-    pos = 0
+    k = steps = pos = 0
     while True:
         del states[pos + 1 :]
         s = states[pos]
-        rid = None
         j, n = pos, len(word)
-        while rid is None:  # read up to the first candidate
-            for j in range(j, n):
-                s = delta[s + word[j]]
-                states.append(s)
-                if out[s]:
-                    break
-            else:
-                return _monoid_word(alphabet, word)
-            for hit, length in out[s]:
-                if hit not in skip:
-                    rid, pos = hit, j + 1 - length
-                    break
+        while True:  # read up to the first candidate
+            if j == n:
+                return _monoid_word(alphabet, tuple(word))
+            s = delta[s + word[j]]
+            states.append(s)
             j += 1
+            if out[s]:
+                if not skip:
+                    plan = first.get(s) or sys._first_plan(s)
+                    break
+                for hit, _ in out[s]:
+                    if hit not in skip:
+                        break
+                else:
+                    continue
+                plan = plans.get(hit) or sys._plan(hit)
+                break
+        rid, length, rhs, cancel, logged = plan
+        pos = j - length
         if nested:  # read on while the live prefix starts by the candidate's
             while j < n and j - depth[s] <= pos:
                 s = delta[s + word[j]]
                 states.append(s)
                 j += 1
-                for hit, length in out[s]:
+                for hit, hit_length in out[s]:
                     if hit not in skip:
-                        if (j - length, hit) < (pos, rid):
-                            rid, pos = hit, j - length
+                        if (j - hit_length, hit) < (pos, rid):
+                            rid, pos = hit, j - hit_length
                         break
-        rule = by_id[rid]
+            if rid != plan[0]:
+                rid, length, rhs, cancel, logged = plans.get(rid) or sys._plan(rid)
         steps += 1
-        if steps > REDUCE_MAX_STEPS:
-            raise BudgetError(
-                f"reduction budget exceeded on {_brief(_monoid_word(alphabet, word))}"
-            )
+        if steps > max_steps:
+            now = _monoid_word(alphabet, tuple(word))
+            raise BudgetError(f"reduction budget exceeded on {_brief(now)}")
         if applied is not None:
-            applied.add(rule.id)
-        lhs, rhs = rule.lhs.letters, rule.rhs.letters
-        cut = pos + len(lhs)
-        if not (nested or rhs or rule.logged) and lhs == (lhs[0], lhs[0] ^ 1):
-            # a free-cancellation rule: collapse the run at its seam
+            applied.add(rid)
+        cut = pos + length
+        if cancel:  # a free-cancellation rule: collapse the run at its seam
             while pos and cut < n and word[cut] == word[pos - 1] ^ 1:
                 # the state of the pair read alone lists its rule, if any
-                hit = out[delta[delta[word[pos - 1]] + word[cut]]]
-                if not hit or hit[0][1] != 2:
+                pair = delta[delta[word[pos - 1]] + word[cut]]
+                if not out[pair]:
                     break
-                pair = by_id[hit[0][0]]
-                if pair.logged or pair.rhs.letters or pair.id in skip:
+                pair_id, _, _, pair_cancel, _ = first.get(pair) or sys._first_plan(pair)
+                if not pair_cancel or pair_id in skip:
                     break
                 steps += 1
-                if steps > REDUCE_MAX_STEPS:
-                    now = _monoid_word(alphabet, word[:pos] + word[cut:])
+                if steps > max_steps:
+                    now = _monoid_word(alphabet, tuple(word[:pos] + word[cut:]))
                     raise BudgetError(f"reduction budget exceeded on {_brief(now)}")
                 if applied is not None:
-                    applied.add(pair.id)
+                    applied.add(pair_id)
                 pos -= 1
                 cut += 1
         if log is not None:
@@ -437,8 +496,8 @@ def _reduce(
                 else:
                     inv.append(c)
                 k -= 1
-            terms = rule.log
-            if terms:
+            if logged:
+                terms, triples = logs.get(rid) or sys._log_terms(rid)
                 while k < pos:
                     c = word[k]
                     if inv and inv[-1] == c:
@@ -447,23 +506,24 @@ def _reduce(
                         inv.append(c ^ 1)
                         undo.append(-1)
                     k += 1
-                v = tuple(inv[::-1])
-                if v:
-                    nv = len(v)
-                    for t in terms:
-                        # the term acted on by v: cancel at the seam, as
-                        # free_multiply does
-                        a = t.conjugator.letters
-                        i, j = len(a), 0
-                        while i and j < nv and a[i - 1] ^ 1 == v[j]:
-                            i -= 1
-                            j += 1
-                        u = _group_word(alphabet, a[:i] + v[j:] if j else a + v)
-                        log.append(_yterm(t.relator, t.sign, u))
+                if inv:
+                    v = tuple(inv[::-1])
+                    seam, nv = v[0] ^ 1, len(v)
+                    for relator, sign, a in triples:
+                        if a and a[-1] == seam:
+                            # cancel outwards from the seam, as free_multiply does
+                            i, m = len(a) - 1, 1
+                            while i and m < nv and a[i - 1] ^ 1 == v[m]:
+                                i -= 1
+                                m += 1
+                            a = a[:i] + v[m:]
+                        else:
+                            a = a + v
+                        log.append(_yterm(relator, sign, _group_word(alphabet, a)))
                 else:
                     log.extend(terms)
-        word = word[:pos] + rhs + word[cut:]
-        if len(word) > REDUCE_MAX_WORD_LEN and len(rhs) > len(lhs):
+        word[pos:cut] = rhs
+        if len(rhs) > length and len(word) > max_len:
             raise BudgetError(
                 f"word length budget exceeded while reducing {_brief(w)}"
             )

@@ -325,3 +325,19 @@ class TestPlumbing:
             code = proc.wait()
         assert err == ""
         assert code == 1
+
+    def test_python_m_logrewrite(self):
+        """``python -m logrewrite`` runs the command line: the Q8 demo's
+        ``reduce`` prints its golden output."""
+        root = SRC.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        argv = ["reduce", "demos/q8.pres", "a b b a"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "logrewrite", *argv],
+            cwd=root, env=env, capture_output=True, text=True,
+        )
+        want = (root / "tests" / "golden" / "reduce-q8-text.txt").read_text()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")

@@ -5,10 +5,13 @@ run from the repository root, and ``<case>-<format>-stderr.txt`` its
 stderr; a case without a stderr file prints nothing there (only
 ``complete`` and ``identities`` print a summary, and only in text).  The
 CLI cases cover ``complete`` and ``reduce`` on the Q8, trefoil and Z^2
-demos, ``kone``, ``identities`` and ``identities --keep-all`` on Q8, each
-in text and JSON; the two demo scripts are run as they ship.  ``kone``
-and ``identities`` on the infinite groups are left out: they only print
-the vertex cap error, after a Cayley BFS of 10000 vertices.
+demos, ``reduce`` of a 30-letter trefoil word (120 rewrites, 51 of them
+by lengthening rules, three log terms cancelled at the inverse prefix)
+and of a 64-letter Q8 word, ``kone``, ``identities`` and ``identities
+--keep-all`` on Q8, each in text and JSON; the two demo scripts are run as
+they ship.  ``kone`` and ``identities`` on the infinite groups are left
+out: they only print the vertex cap error, after a Cayley BFS of 10000
+vertices.
 """
 
 import os
@@ -29,11 +32,21 @@ REDUCE_WORDS = {
     "abelian": "y x y^-1 x^2",
 }
 
+LONG_REDUCE_WORDS = {
+    "trefoil": "x x x^-1 x^-1 x x^-1 x^-1 y x^-1 x^-1 x y^-1 y x x x^-1 x x^-1 "
+    "y^-1 x^-1 x y^-1 y^-1 y^-1 x x^-1 x^-1 y x x",
+    "q8": "a b^-1 b^-1 a^-1 a^-1 a^-1 a a^-1 a a^-1 b b a^-1 b^-1 a^-1 a a^-1 a "
+    "b^-1 a^-1 b a a^-1 a b b a^-1 a^-1 a^-1 b^-1 a^-1 b^-1 a a^-1 a^-1 b b b^-1 "
+    "b a a a a^-1 b^-1 b^-1 b b b a^-1 a^-1 a^-1 a b b a b^-1 b b^-1 a b a b a a^-1",
+}
+
 CLI_CASES = {}
 for _group, _word in REDUCE_WORDS.items():
     _pres = f"demos/{_group}.pres"
     CLI_CASES[f"complete-{_group}"] = ["complete", _pres]
     CLI_CASES[f"reduce-{_group}"] = ["reduce", _pres, _word]
+for _group, _word in LONG_REDUCE_WORDS.items():
+    CLI_CASES[f"reduce-long-{_group}"] = ["reduce", f"demos/{_group}.pres", _word]
 CLI_CASES["kone-q8"] = ["kone", "demos/q8.pres"]
 CLI_CASES["identities-q8"] = ["identities", "demos/q8.pres"]
 CLI_CASES["identities-keep-all-q8"] = ["identities", "demos/q8.pres", "--keep-all"]

@@ -34,7 +34,9 @@ from logrewrite.words import (
     MonoidWord,
     WordError,
     free_multiply,
+    inverse,
     mu_inverse,
+    parse_group,
     parse_monoid,
     render_monoid,
 )
@@ -43,6 +45,7 @@ from logrewrite.ysequences import (
     POS,
     YSequence,
     YTerm,
+    act,
     boundary,
     peiffer_closure,
     render_ysequence,
@@ -169,6 +172,61 @@ class TestLoggedReduce:
         assert logged_reduce(w, q8_system) == logged_reduce(
             parse_monoid(q8.alphabet, "abba"), q8_system
         )
+
+    def test_log_term_cancels_the_inverse_prefix_at_its_seam(self):
+        """A hand-built ``bbb -> 1`` logged by ``(r1^+)^u (r1^-)^u (r1^+)``
+        with ``u = b a``: after the prefix ``p``, each term's conjugator
+        is ``u p^-1``, and the last two letters of ``u`` cancel the first
+        two of ``p^-1``.  The log is the rule's log acted on by ``p^-1``,
+        term for term."""
+        p = parse_presentation("generators: a, b\nrelators:\n  r1 = b^3\n")
+        al, rho = p.alphabet, p.relators[0]
+        u, one = parse_group(al, "b a"), GroupWord(al)
+        log = (YTerm(rho, POS, u), YTerm(rho, NEG, u), YTerm(rho, POS, one))
+        rules = initial_logged_system(p).rules
+        rule = LoggedRule(rules[0].lhs, log, rules[0].rhs, rules[0].id)
+        system = LoggedRewriteSystem(p, [rule, *rules[1:]])
+        assert rule.holds()
+        cases = (("ba", ""), ("aba", "a^-1"), ("bba", "b^-1"), ("aaba", "a^-2"))
+        for prefix, left in cases:
+            v = inverse(parse_group(al, prefix))
+            nf, got = logged_reduce(parse_monoid(al, prefix + "bbb"), system)
+            assert nf == parse_monoid(al, prefix)
+            assert got == act(rule.log, v)
+            assert [t.conjugator for t in got[:2]] == [parse_group(al, left)] * 2
+            assert len(u) + len(v) - len(got[0].conjugator) >= 4
+
+
+class TestRewriteCaches:
+    """A system caches the plan and the log of each rule it rewrites by;
+    a system built by ``replaced`` has its own caches."""
+
+    def test_replaced_system_rewrites_by_the_new_rule(self):
+        """After reductions on ``system`` cached the plan and log of
+        ``bbb -> 1``, ``system.replaced(old, new)`` rewrites by ``new``,
+        ``bbb -> aA`` with another log: with no rule skipped (the plan
+        of the state that ends ``bbb``) and with ``aA -> 1`` skipped (the
+        plan looked up by id)."""
+        p = parse_presentation("generators: a, b\nrelators:\n  r1 = b^3\n")
+        al, rho, one = p.alphabet, p.relators[0], GroupWord(p.alphabet)
+        system = initial_logged_system(p)
+        old = system.rules[0]
+        log = (YTerm(rho, POS, one), YTerm(rho, NEG, one), YTerm(rho, POS, one))
+        new = LoggedRule(old.lhs, log, parse_monoid(al, "aA"), old.id)
+        assert render_monoid(old.lhs) == "bbb" and new.holds()
+        cancel = next(r.id for r in system.rules if render_monoid(r.lhs) == "aA")
+        w, v = parse_monoid(al, "abbb"), parse_group(al, "a^-1")
+        cases = (((), "a", {old.id, cancel}), ({cancel}, "aaA", {old.id}))
+        for skip, nf, applied in cases:
+            got, got_applied = [], set()
+            reduced = rewriting._reduce(w, system, skip, got, got_applied)
+            assert (reduced, tuple(got)) == (parse_monoid(al, "a"), act(old.log, v))
+            assert got_applied == {old.id}
+            got, got_applied = [], set()
+            replaced = system.replaced(old, new)
+            reduced = rewriting._reduce(w, replaced, skip, got, got_applied)
+            assert (render_monoid(reduced), tuple(got)) == (nf, act(new.log, v))
+            assert got_applied == applied
 
 
 D20_TEXT = """\
