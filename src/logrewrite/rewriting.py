@@ -662,6 +662,12 @@ class CompletionReport:
     keeps for its log (``_pair_log``); the list is built from them on its
     first read, each identity the overlap's connecting log
     (``process_overlap``), and later reads return it.
+
+    The list holds one object per distinct term: equal terms of all its
+    identities are the same ``YTerm``, so callers must treat terms as
+    read-only.  The first read is the cost: about 0.4 s on D40, 2.4 s
+    and a 71 MB process peak on PSL(2,7), and 141 s and a 1.5 GB peak on
+    A6 (2-vCPU VM, Python 3.11).
     """
 
     final_system: LoggedRewriteSystem
@@ -681,11 +687,12 @@ class CompletionReport:
     def identities(self) -> list[YSequence]:
         if self._identities is None:
             out: list[YSequence] = []
+            terms: dict[YTerm, YTerm] = {}  # each distinct term, held once
             for sys, overlaps in self._harvest:
                 for o in overlaps:
                     identity = process_overlap(o, sys)
                     if identity:
-                        out.append(identity)
+                        out.append(tuple([terms.setdefault(t, t) for t in identity]))
             self._identities, self._harvest = out, []
         return self._identities
 

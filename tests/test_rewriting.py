@@ -1105,6 +1105,24 @@ class TestPinnedCompletions:
         assert report.final_system.complete
         assert completion_counts(report) == counts
         assert completion_digest(report) == digest
+        # the harvest holds one object per distinct term
+        terms = [t for s in report.identities for t in s]
+        assert len({id(t) for t in terms}) == len(set(terms))
+        if name == "d40":
+            assert (len(terms), len(set(terms))) == (222_288, 1_065)
+
+    @pytest.mark.parametrize("name", ["q8", "trefoil", "d40"])
+    def test_shared_terms_equal_unshared(self, name):
+        """The harvest equals, term for term and in order, the non-empty
+        connecting logs of the overlaps completion kept, built anew."""
+        report = complete_presentation(parse_presentation(PINNED[name][0]))
+        unshared = [
+            s
+            for system, overlaps in report._harvest
+            for s in (process_overlap(o, system) for o in overlaps)
+            if s
+        ]
+        assert report.identities == unshared
 
     def test_s5_completion(self, s5_pipeline):
         report = s5_pipeline.report
