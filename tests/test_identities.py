@@ -117,7 +117,7 @@ class TestCayleyGraph:
         graph = build_cayley_graph(sys)
         assert len(graph) == 1
         assert len(graph.edges) == 1
-        loop = graph.edge(graph.vertices[0], 0)
+        loop = graph.edges[(graph.vertices[0], 0)]
         assert loop.target == graph.vertices[0]
 
     def test_infinite_group_cap(self, abelian_system):
@@ -149,7 +149,7 @@ class TestK1Values:
 
         def k1(g, x):
             return render_ysequence(
-                q8_graph.edge(parse_monoid(al, g), al.index(x)).k1
+                q8_graph.edges[(parse_monoid(al, g), al.index(x))].k1
             )
 
         assert k1("aa", "a") == "(r1^+)"
@@ -161,6 +161,46 @@ class TestK1Values:
     def test_nine_nontrivial(self, q8_graph):
         nontrivial = [e for e in q8_graph.edges.values() if e.k1]
         assert len(nontrivial) == 9
+
+
+class TestEdgeContract:
+    """``compute_k1`` checks ``boundary(k1) = (sigma g) x (sigma(g x))^-1``
+    on each value it makes, so a broken k1 raises at its edge, in the
+    Cayley graph and in the sampled API alike."""
+
+    @pytest.fixture
+    def lossy_reduce(self, monkeypatch):
+        """``logged_reduce`` as the identities layer sees it, with the last
+        term of every log dropped: the normal forms stay right and every
+        non-empty log loses a term's boundary."""
+        real = identities.logged_reduce
+
+        def lossy(w, sys):
+            nf, log = real(w, sys)
+            return nf, log[:-1]
+
+        monkeypatch.setattr(identities, "logged_reduce", lossy)
+
+    @staticmethod
+    def broken(g, x):
+        return re.escape(f"k1[MonoidWord('{g}'), {x}] breaks the edge contract")
+
+    def test_wrong_target_raises(self, q8, q8_system):
+        # aa a is A in Q8, not b
+        al = q8.alphabet
+        g, a = parse_monoid(al, "aa"), al.index("a")
+        with pytest.raises(WordError, match=self.broken("aa", "a")):
+            compute_k1(q8_system, g, a, parse_monoid(al, "b"))
+
+    def test_cayley_graph_raises_on_a_broken_log(self, q8_system, lossy_reduce):
+        # [b, a] is the first edge in BFS order whose k1 is not empty
+        with pytest.raises(WordError, match=self.broken("b", "a")):
+            build_cayley_graph(q8_system)
+
+    def test_k1_for_raises_on_a_broken_log(self, abelian, abelian_system, lossy_reduce):
+        g = parse_group(abelian.alphabet, "y")
+        with pytest.raises(WordError, match=self.broken("y", "x")):
+            k1_for(abelian_system, g, "x")
 
 
 class TestRelatorCycles:
