@@ -33,7 +33,6 @@ from .ysequences import (
     POS,
     YSequence,
     YTerm,
-    _yterm,
     act,
     boundary,
     invert,
@@ -72,25 +71,26 @@ class LoggedRule:
     """A rule ``lhs -> rhs`` with its id and its log, a Y-sequence with
     ``mu_inverse(lhs) = boundary(log) * mu_inverse(rhs)`` in F(X).
 
-    A rule is never changed once built, but for its cached log.  A rule
-    built with ``LoggedRule(...)``, such as an initial rule, has the log
-    it was given.  A rule that completion forms (``_formed_rule``) holds
-    a recipe for its log instead, and builds the log on the first read of
-    ``log``: the recipe's sequence closed with ``peiffer_closure``.  The
-    recipe is then dropped.  Most formed rules are removed before
-    anything reads their log, so their logs are never built.  ``logged``
-    says whether the log is non-empty without building it: a formed
-    rule's log never is, since its boundary is lhs rhs^-1 != 1.
+    A rule is never changed once built, but for its log and log terms,
+    built on first use.  A rule built with ``LoggedRule(...)``, such as
+    an initial rule, has the log it was given.  A rule that completion
+    forms (``_formed_rule``) holds a recipe for its log instead, and
+    builds the log on the first read of ``log``: the recipe's sequence
+    closed with ``peiffer_closure``.  The recipe is then dropped.  Most
+    formed rules are removed before anything reads their log, so their
+    logs are never built.  ``logged`` says whether the log is non-empty
+    without building it: a formed rule's log never is, since its
+    boundary is lhs rhs^-1 != 1.
+
+    ``plan`` is what a rewrite by the rule needs (``_reduce``): ``(id,
+    lhs length, rhs letters, pair, logged)``, where ``pair`` says the
+    rule is ``x x^-1 -> 1`` with an empty log.
     """
 
-    __slots__ = ("lhs", "rhs", "id", "logged", "_log", "_recipe")
+    __slots__ = ("lhs", "rhs", "id", "logged", "plan", "_log", "_recipe", "_terms")
 
     def __init__(self, lhs: MonoidWord, log: YSequence, rhs: MonoidWord, id: int):
-        for name, value in (
-            ("lhs", lhs), ("rhs", rhs), ("id", id), ("logged", bool(log)),
-            ("_log", log), ("_recipe", None),
-        ):
-            object.__setattr__(self, name, value)
+        _init_rule(self, lhs, rhs, id, log, None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -100,6 +100,16 @@ class LoggedRule:
         if self._recipe is not None:
             _build_logs(self)
         return self._log
+
+    def log_terms(self) -> tuple:
+        """``(terms, triples)``: the log and, for each of its terms, the
+        relator, the sign and the conjugator's letters; built on the
+        first call."""
+        if self._terms is None:
+            terms = self.log
+            triples = tuple([(t.relator, t.sign, t.conjugator.letters) for t in terms])
+            object.__setattr__(self, "_terms", (terms, triples))
+        return self._terms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LoggedRule):
@@ -123,6 +133,26 @@ class LoggedRule:
         return mu_inverse(self.lhs) == free_multiply(delta, mu_inverse(self.rhs))
 
 
+def _init_rule(
+    rule: LoggedRule,
+    lhs: MonoidWord,
+    rhs: MonoidWord,
+    rule_id: int,
+    log: Optional[YSequence],
+    recipe: Optional[tuple],
+) -> None:
+    """Set the fields of ``rule``: its log, or the recipe of its log."""
+    logged = recipe is not None or bool(log)
+    l, r = lhs.letters, rhs.letters
+    pair = not (logged or r) and len(l) == 2 and l[1] == l[0] ^ 1
+    for name, value in (
+        ("lhs", lhs), ("rhs", rhs), ("id", rule_id), ("logged", logged),
+        ("plan", (rule_id, len(l), r, pair, logged)),
+        ("_log", log), ("_recipe", recipe), ("_terms", None),
+    ):
+        object.__setattr__(rule, name, value)
+
+
 def _formed_rule(
     lhs: MonoidWord,
     rhs: MonoidWord,
@@ -133,9 +163,8 @@ def _formed_rule(
     """A rule completion forms, with the recipe of its log: the log is
     ``build()`` closed with ``peiffer_closure``, and ``build`` reads the
     logs of the rules ``reads`` and of no other rule."""
-    rule = LoggedRule(lhs, (), rhs, rule_id)
-    for name, value in (("logged", True), ("_log", None), ("_recipe", (reads, build))):
-        object.__setattr__(rule, name, value)
+    rule = object.__new__(LoggedRule)
+    _init_rule(rule, lhs, rhs, rule_id, None, (reads, build))
     return rule
 
 
@@ -168,20 +197,9 @@ class LoggedRewriteSystem:
     constructor sorts the rules and indexes them by id; the index
     automaton that ``_reduce`` scans on is built on the first reduction
     (``automaton``).  ``complete`` is set by completion once every
-    overlap of the rules resolves.
-
-    A system also caches, as ``_reduce`` first needs them, what a
-    rewrite by each rule needs: its plan (``_plan``: id, lhs length, rhs
-    letters, and whether it is a free-cancellation rule the scan
-    collapses), the plan of the first rule each automaton state lists
-    (``_first_plan``), and the terms of its log with each term's
-    relator, sign and conjugator letters (``_log_terms``).  A log is
-    cached only by a reduction that builds a log, so a formed rule's log
-    stays unbuilt until it is read.  The caches hold at most one entry
-    per rule and per state, and go with the system.  ``replaced``
-    shares the automaton but not the caches: the new rule keeps the old
-    one's id and lhs, so its states are the same, but its rhs and log
-    are not."""
+    overlap of the rules resolves.  ``_first`` maps each automaton state
+    a reduction has stopped at to the plan of the first rule the state
+    lists (``_first_plan``)."""
 
     def __init__(self, presentation: Presentation, rules: Iterable[LoggedRule]):
         self.presentation = presentation
@@ -189,9 +207,7 @@ class LoggedRewriteSystem:
         self.complete = False
         self._by_id = {rule.id: rule for rule in self.rules}
         self._dfa: Optional[tuple[list[int], list, bool, list[int]]] = None
-        self._plans: dict[int, tuple] = {}  # rule id -> plan
-        self._first: dict[int, tuple] = {}  # state -> plan of its first rule
-        self._logs: dict[int, tuple] = {}  # rule id -> (terms, triples)
+        self._first: dict[int, tuple] = {}
 
     def rules_by_id(self) -> list[LoggedRule]:
         return list(self.rules)
@@ -199,9 +215,7 @@ class LoggedRewriteSystem:
     def replaced(self, old: LoggedRule, new: LoggedRule) -> LoggedRewriteSystem:
         """This system with the rule ``old`` replaced by ``new``, which has
         its lhs and id.  The automaton depends only on the lhs of each id,
-        so the new system shares this one's.  It starts with empty
-        rewrite caches: a plan or log cached under the id ``old`` and
-        ``new`` share would rewrite by ``old``."""
+        so the new system shares this one's."""
         sys = LoggedRewriteSystem(
             self.presentation, [new if r is old else r for r in self.rules]
         )
@@ -233,34 +247,11 @@ class LoggedRewriteSystem:
             )
         return self._dfa
 
-    def _plan(self, rule_id: int) -> tuple:
-        """The plan of a rewrite by rule ``rule_id``, ``(id, lhs length,
-        rhs letters, cancel, logged)``: ``cancel`` says the rule is
-        ``x x^-1 -> 1`` with an empty log and no lhs is a subword of
-        another, so ``_reduce`` collapses the run at its seam; ``logged``
-        is ``rule.logged``, read without building the log."""
-        plan = self._plans.get(rule_id)
-        if plan is None:
-            rule = self._by_id[rule_id]
-            lhs, rhs, logged = rule.lhs.letters, rule.rhs.letters, rule.logged
-            nested = self.automaton()[2]
-            cancel = not (nested or rhs or logged) and lhs == (lhs[0], lhs[0] ^ 1)
-            plan = self._plans[rule_id] = (rule_id, len(lhs), rhs, cancel, logged)
-        return plan
-
     def _first_plan(self, state: int) -> tuple:
         """The plan of the first rule ``automaton()`` lists at ``state``,
         which must list one."""
-        plan = self._first[state] = self._plan(self.automaton()[1][state][0][0])
+        plan = self._first[state] = self._by_id[self.automaton()[1][state][0][0]].plan
         return plan
-
-    def _log_terms(self, rule_id: int) -> tuple:
-        """``(terms, triples)``: the log of rule ``rule_id`` and, for each
-        of its terms, the relator, the sign and the conjugator's letters."""
-        terms = self._by_id[rule_id].log
-        triples = tuple([(t.relator, t.sign, t.conjugator.letters) for t in terms])
-        entry = self._logs[rule_id] = (terms, triples)
-        return entry
 
 
 def _index_automaton(
@@ -371,13 +362,12 @@ def _reduce(
     one letter past the end of the longest lhs that could start at the
     candidate's start; it usually stops one letter after the candidate.
 
-    What a rewrite needs of its rule is worked out once per system and
-    cached there (``LoggedRewriteSystem._plan``): a reduction that skips
-    no rule takes the plan of the first rule its state lists
-    (``_first_plan``), and one that skips rules, or reads on in a nested
-    system, takes the plan of the rule it chose by id.  A logged rewrite
-    reads the rule's log terms as (relator, sign, conjugator letters)
-    from the same cache (``_log_terms``).
+    What a rewrite needs of its rule is the rule's ``plan``: a reduction
+    that skips no rule takes the plan of the first rule its state lists
+    (``LoggedRewriteSystem._first_plan``), and one that skips rules, or
+    reads on in a nested system, takes the plan of the rule it chose by
+    id.  A logged rewrite reads the rule's log terms as (relator, sign,
+    conjugator letters) (``LoggedRule.log_terms``).
 
     A rewrite at ``pos`` leaves ``word[:pos]`` alone, and no match lies
     inside it, since none starts before ``pos``; so the stack is cut
@@ -409,10 +399,10 @@ def _reduce(
     by a rule with a non-empty log moves the cursor to ``pos`` and
     builds the inverse prefix ``v`` once, as one tuple; each term
     ``(rho^e)^a`` of the rule's log is appended as ``(rho^e)^{a v}``,
-    built with the trusted constructors.  Both words are reduced, so
-    ``a v`` can cancel only at the seam: it is ``a + v`` unless the last
-    letter of ``a`` cancels the first of ``v``, and only then is the
-    seam cancelled outwards, as ``free_multiply`` does.
+    its conjugator built with the trusted ``_group_word``.  Both words
+    are reduced, so ``a v`` can cancel only at the seam: it is ``a + v``
+    unless the last letter of ``a`` cancels the first of ``v``, and only
+    then is the seam cancelled outwards, as ``free_multiply`` does.
     """
     alphabet = w.alphabet
     if alphabet is not sys.presentation.alphabet:  # one test when it is
@@ -424,7 +414,7 @@ def _reduce(
     max_steps, max_len = REDUCE_MAX_STEPS, REDUCE_MAX_WORD_LEN
     word = list(w.letters)
     delta, out, nested, depth = sys.automaton()
-    plans, first, logs = sys._plans, sys._first, sys._logs
+    by_id, first = sys._by_id, sys._first
     states = [0]
     inv: list[int] = []
     undo: list[int] = []
@@ -448,9 +438,9 @@ def _reduce(
                         break
                 else:
                     continue
-                plan = plans.get(hit) or sys._plan(hit)
+                plan = by_id[hit].plan
                 break
-        rid, length, rhs, cancel, logged = plan
+        rid, length, rhs, pair, logged = plan
         pos = j - length
         if nested:  # read on while the live prefix starts by the candidate's
             while j < n and j - depth[s] <= pos:
@@ -463,7 +453,7 @@ def _reduce(
                             rid, pos = hit, j - hit_length
                         break
             if rid != plan[0]:
-                rid, length, rhs, cancel, logged = plans.get(rid) or sys._plan(rid)
+                rid, length, rhs, pair, logged = by_id[rid].plan
         steps += 1
         if steps > max_steps:
             now = _monoid_word(alphabet, tuple(word))
@@ -471,14 +461,14 @@ def _reduce(
         if applied is not None:
             applied.add(rid)
         cut = pos + length
-        if cancel:  # a free-cancellation rule: collapse the run at its seam
+        if pair and not nested:  # free cancellation: collapse the run at its seam
             while pos and cut < n and word[cut] == word[pos - 1] ^ 1:
                 # the state of the pair read alone lists its rule, if any
-                pair = delta[delta[word[pos - 1]] + word[cut]]
-                if not out[pair]:
+                t = delta[delta[word[pos - 1]] + word[cut]]
+                if not out[t]:
                     break
-                pair_id, _, _, pair_cancel, _ = first.get(pair) or sys._first_plan(pair)
-                if not pair_cancel or pair_id in skip:
+                pair_id, _, _, is_pair, _ = first.get(t) or sys._first_plan(t)
+                if not is_pair or pair_id in skip:
                     break
                 steps += 1
                 if steps > max_steps:
@@ -497,7 +487,8 @@ def _reduce(
                     inv.append(c)
                 k -= 1
             if logged:
-                terms, triples = logs.get(rid) or sys._log_terms(rid)
+                rule = by_id[rid]
+                terms, triples = rule._terms or rule.log_terms()
                 while k < pos:
                     c = word[k]
                     if inv and inv[-1] == c:
@@ -519,7 +510,7 @@ def _reduce(
                             a = a[:i] + v[m:]
                         else:
                             a = a + v
-                        log.append(_yterm(relator, sign, _group_word(alphabet, a)))
+                        log.append(YTerm(relator, sign, _group_word(alphabet, a)))
                 else:
                     log.extend(terms)
         word[pos:cut] = rhs

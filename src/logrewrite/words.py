@@ -15,10 +15,9 @@ the ``mu`` translations) build their results through the trusted
 valid words over one alphabet, so every output code is valid too; and
 since a product of two reduced words can only cancel where they meet
 and a reduced word read backwards with every letter inverted is
-reduced, neither needs a full reduction pass.  The logged reducer (``rewriting._reduce``)
-builds the conjugators of its log terms through ``_group_word`` on the
-same grounds, and the terms themselves through the trusted
-``ysequences._yterm``.
+reduced, neither needs a full reduction pass.  The logged reducer
+(``rewriting._reduce``) builds the conjugators of its log terms through
+``_group_word`` on the same grounds.
 """
 
 from __future__ import annotations
@@ -28,6 +27,9 @@ from typing import Iterable, Iterator, Sequence
 
 POS = 1
 NEG = -1
+
+# the most letters a parsed word may have
+MAX_PARSED_LETTERS = 1_000_000
 
 
 class WordError(ValueError):
@@ -270,7 +272,11 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 def _token_letters(alphabet: Alphabet, tokens: list[tuple[str, int]]) -> list[int]:
     letters: list[int] = []
     for name, exp in tokens:
-        if name not in alphabet._index and exp == 1 and len(name) > 1:
+        compact = name not in alphabet._index and exp == 1 and len(name) > 1
+        # tested before the letters are made: `a^1000000000` is a short text
+        if len(letters) + (len(name) if compact else abs(exp)) > MAX_PARSED_LETTERS:
+            raise WordError(f"a parsed word is limited to {MAX_PARSED_LETTERS} letters")
+        if compact:
             # compact form over 1-char generators, e.g. `aaB`
             for ch in name:
                 low = ch.lower()

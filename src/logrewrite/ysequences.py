@@ -7,11 +7,9 @@ product and ``()`` as the identity.  Sequences carry the logging
 information of every rewrite, and sequences with trivial boundary are
 identities among the relations.
 
-``YTerm(...)`` is the public constructor of a term.  The operations here
-(``act``, ``inverted``, conjugator stripping, the sandwich collapse and
-the exchange moves) and the logged reducer in ``rewriting`` build their
-terms through the trusted ``_yterm``, which skips the ``__init__`` call:
-their fields are a relator, a sign and a word the caller already holds.
+``YTerm(...)`` is the one constructor of a term, and it validates
+nothing: the operations here and the logged reducer in ``rewriting``
+build terms from a relator, a sign and a word they already hold.
 
 The module keeps no state between calls: boundaries (:func:`boundary`,
 one free reduction over the letters of all the terms) and stripped
@@ -122,16 +120,7 @@ class YTerm:
         )
 
     def inverted(self) -> "YTerm":
-        return _yterm(self.relator, -self.sign, self.conjugator)
-
-
-def _yterm(relator: RelatorRef, sign: int, conjugator: GroupWord) -> YTerm:
-    """Trusted constructor: a ``YTerm`` without the ``__init__`` call."""
-    t = object.__new__(YTerm)
-    t.relator = relator
-    t.sign = sign
-    t.conjugator = conjugator
-    return t
+        return YTerm(self.relator, -self.sign, self.conjugator)
 
 
 # a Y-sequence is a tuple of YTerm; the name is kept for annotations
@@ -158,7 +147,7 @@ def act(s: YSequence, v: GroupWord) -> YSequence:
     if v.is_identity() or not s:
         return s
     return tuple(
-        [_yterm(t.relator, t.sign, free_multiply(t.conjugator, v)) for t in s]
+        [YTerm(t.relator, t.sign, free_multiply(t.conjugator, v)) for t in s]
     )
 
 
@@ -216,7 +205,7 @@ def _strip_conjugator(t: YTerm, use_root: bool) -> YTerm:
                 u = candidate
                 changed = True
                 break
-    return t if u == t.conjugator else _yterm(t.relator, t.sign, u)
+    return t if u == t.conjugator else YTerm(t.relator, t.sign, u)
 
 
 def _sandwich_once(terms: tuple, use_root: bool):
@@ -240,7 +229,7 @@ def _sandwich_once(terms: tuple, use_root: bool):
     shift = inverse(boundary((terms[i],), terms[i].conjugator.alphabet))
     middle = [
         _strip_conjugator(
-            _yterm(t.relator, t.sign, free_multiply(t.conjugator, shift)),
+            YTerm(t.relator, t.sign, free_multiply(t.conjugator, shift)),
             use_root,
         )
         for t in terms[i + 1 : j]
@@ -255,13 +244,13 @@ def _transpositions(terms: tuple, max_conj: int):
         alphabet = a.conjugator.alphabet
         # move a rightwards: (a b) -> (b a^{delta b})
         shift = boundary((b,), alphabet)
-        moved = _yterm(a.relator, a.sign, free_multiply(a.conjugator, shift))
+        moved = YTerm(a.relator, a.sign, free_multiply(a.conjugator, shift))
         moved = _strip_conjugator(moved, True)
         if len(moved.conjugator) <= max_conj:
             yield terms[:i] + (b, moved) + terms[i + 2 :]
         # move b leftwards: (a b) -> (b^{(delta a)^-1} a)
         shift = inverse(boundary((a,), alphabet))
-        moved = _yterm(b.relator, b.sign, free_multiply(b.conjugator, shift))
+        moved = YTerm(b.relator, b.sign, free_multiply(b.conjugator, shift))
         moved = _strip_conjugator(moved, True)
         if len(moved.conjugator) <= max_conj:
             yield terms[:i] + (moved, a) + terms[i + 2 :]

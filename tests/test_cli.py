@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from logrewrite import words
 from logrewrite.cli import main
 from logrewrite.presentation import parse_presentation
 from logrewrite.words import parse_monoid
@@ -132,6 +133,12 @@ class TestReduce:
         code, out, err = run(capsys, "reduce", q8_file, "a^")
         assert (code, out) == (1, "")
         assert "bad exponent in 'a^'" in err
+
+    def test_word_past_the_parse_bound(self, capsys, q8_file, monkeypatch):
+        monkeypatch.setattr(words, "MAX_PARSED_LETTERS", 100)
+        code, out, err = run(capsys, "reduce", q8_file, "a^60 b^41")
+        assert (code, out) == (1, "")
+        assert err == "error: a parsed word is limited to 100 letters\n"
 
     def test_budget_error_is_one_short_line(self, capsys):
         # 100,000 rewrites on a word of about 3000 letters: the message
@@ -325,6 +332,29 @@ class TestPlumbing:
             code = proc.wait()
         assert err == ""
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["identities", "demos/q8.pres", "--keep-all", "--format", "json"],
+            ["complete", "demos/trefoil.pres", "--format", "json"],
+        ],
+        ids=["identities", "complete"],
+    )
+    def test_output_independent_of_the_hash_seed(self, argv):
+        root = SRC.parent
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(SRC), env.get("PYTHONPATH")) if p
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "logrewrite", *argv],
+                cwd=root, env=env, capture_output=True, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
 
     def test_python_m_logrewrite(self):
         """``python -m logrewrite`` runs the command line: the Q8 demo's

@@ -1,5 +1,6 @@
 import pytest
 
+from logrewrite import words
 from logrewrite.presentation import ParseError, parse_presentation
 from logrewrite.rewriting import initial_logged_system
 from logrewrite.words import (
@@ -91,6 +92,13 @@ class TestParseErrors:
             parse_presentation(text)
         assert exc.value.line == line
         assert f"line {line}:" in str(exc.value)
+
+    def test_relator_past_the_word_bound(self, monkeypatch):
+        monkeypatch.setattr(words, "MAX_PARSED_LETTERS", 100)
+        text = "generators: a, b\nrelators:\n  r1 = a^2\n  r2 = a^60 b^41\n"
+        with pytest.raises(ParseError) as exc:
+            parse_presentation(text)
+        assert str(exc.value) == "line 4: a parsed word is limited to 100 letters"
 
     @pytest.mark.parametrize(
         "text,message",

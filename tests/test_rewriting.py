@@ -197,13 +197,74 @@ class TestLoggedReduce:
             assert len(u) + len(v) - len(got[0].conjugator) >= 4
 
 
-class TestRewriteCaches:
-    """A system caches the plan and the log of each rule it rewrites by;
-    a system built by ``replaced`` has its own caches."""
+def _want_plan(rule):
+    """A rule's plan, worked out from its fields and its built log."""
+    lhs, rhs = rule.lhs.letters, rule.rhs.letters
+    pair = len(lhs) == 2 and lhs[1] == lhs[0] ^ 1 and not rhs and not rule.log
+    return rule.id, len(lhs), rhs, pair, bool(rule.log)
+
+
+class TestRulePlans:
+    """A rule carries its plan, what a rewrite by it needs, from the
+    moment it is made; no system keeps a plan or a log of its own."""
+
+    @staticmethod
+    def complete(p):
+        """The systems completion of ``p`` hands to interreduction, and
+        the rules interreduction gives a new rhs."""
+        handed, replacements = [], []
+        interreduce, replaced = rewriting._interreduce, LoggedRewriteSystem.replaced
+
+        def record(system):
+            handed.append(system)
+            return interreduce(system)
+
+        def record_new(system, old, new):
+            replacements.append(new)
+            return replaced(system, old, new)
+
+        with mock.patch.object(rewriting, "_interreduce", record), mock.patch.object(
+            LoggedRewriteSystem, "replaced", record_new
+        ):
+            complete_presentation(p)
+        return handed, replacements
+
+    def test_plans_of_initial_formed_and_replaced_rules(self, q8):
+        """The initial rules, the rules each pass forms and the rules
+        interreduction gives a new rhs; a formed rule's plan is made
+        without building its log."""
+        handed, replacements = self.complete(q8)
+        initial = initial_logged_system(q8).rules
+        made = [r for system in handed for r in system.rules if r.id > len(initial)]
+        made += replacements
+        assert len(made) > len(replacements) > 0
+        assert all(r._recipe is not None for r in made)  # no log built yet
+        plans = [r.plan for r in made]
+        for rule in [*initial, *made]:
+            assert rule.plan == _want_plan(rule)
+        assert all(r.plan is plan for r, plan in zip(made, plans))
+        assert [r.plan[3] for r in initial] == [False] * 4 + [True] * 4
+        cancel = initial[-1]  # Bb -> 1, given a log whose boundary is 1
+        logged = LoggedRule(cancel.lhs, _identity_log(q8), cancel.rhs, cancel.id)
+        assert logged.plan == _want_plan(logged) == (cancel.id, 2, (), False, True)
+
+    def test_shared_rule_shares_its_plan(self, q8):
+        """Two pass systems that hold one rule object rewrite by its one
+        plan: every plan a system looks up by state is a rule's own."""
+        first, second = self.complete(q8)[0][:2]
+        shared = [r for r in first.rules if second._by_id.get(r.id) is r]
+        assert shared
+        for system in (first, second):
+            for rule in system.rules:
+                rewriting._reduce(rule.lhs, system)
+            plans = {id(r.plan) for r in system.rules}
+            assert system._first and {id(p) for p in system._first.values()} <= plans
+        for rule in shared:
+            assert first._by_id[rule.id].plan is second._by_id[rule.id].plan
 
     def test_replaced_system_rewrites_by_the_new_rule(self):
-        """After reductions on ``system`` cached the plan and log of
-        ``bbb -> 1``, ``system.replaced(old, new)`` rewrites by ``new``,
+        """After reductions on ``system`` by ``bbb -> 1``,
+        ``system.replaced(old, new)`` rewrites by ``new``,
         ``bbb -> aA`` with another log: with no rule skipped (the plan
         of the state that ends ``bbb``) and with ``aA -> 1`` skipped (the
         plan looked up by id)."""

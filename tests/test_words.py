@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from logrewrite import words
 from logrewrite.words import (
     Alphabet,
     GroupWord,
@@ -209,6 +210,17 @@ class TestRendering:
     def test_unknown_generator(self):
         with pytest.raises(WordError):
             parse_group(AB, "c")
+
+    def test_parsed_word_bounded(self, monkeypatch):
+        """A word of more than ``MAX_PARSED_LETTERS`` letters is refused,
+        in power and in compact form."""
+        monkeypatch.setattr(words, "MAX_PARSED_LETTERS", 100)
+        assert len(parse_monoid(AB, "a^60 b^40")) == 100
+        for parse in (parse_group, parse_monoid):
+            for text in ("a^60 b^41", "a^60 b^-41", "a^99 ab"):
+                with pytest.raises(WordError) as exc:
+                    parse(AB, text)
+                assert str(exc.value) == "a parsed word is limited to 100 letters"
 
     # "a^1_0" and "a^\u0663" (Arabic-Indic three) are numbers to int()
     @pytest.mark.parametrize(

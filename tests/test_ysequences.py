@@ -23,7 +23,6 @@ from logrewrite.ysequences import (
     YTerm,
     _sandwich_once,
     _strip_conjugator,
-    _yterm,
     act,
     boundary,
     cancel_adjacent,
@@ -93,14 +92,13 @@ class TestRelatorRef:
 
 class TestYTerm:
     """A term is a value: equal and equally hashed when its relator, sign
-    and conjugator are, whichever constructor made it."""
+    and conjugator are."""
 
     def test_value_contract(self):
         u = parse_group(AB, "a b^-1")
         t = YTerm(R1, POS, u)
         same = YTerm(R1, POS, parse_group(AB, "a b^-1"))
         assert t == same and t is not same and hash(t) == hash(same)
-        assert _yterm(R1, POS, u) == t
         assert t != YTerm(R1, NEG, u)
         assert t != YTerm(R2, POS, u)
         assert t != YTerm(R1, POS, GroupWord(AB))
