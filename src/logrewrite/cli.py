@@ -41,8 +41,8 @@ from .rewriting import (
     logged_reduce,
     require_complete,
 )
-from .words import WordError, mu, parse_group, render_group, render_monoid
-from .ysequences import render_ysequence, simplify
+from .words import WordError, mu, parse_group, render_monoid
+from .ysequences import render_conjugator, render_ysequence, simplify
 
 
 def _positive_int(text: str) -> int:
@@ -132,7 +132,7 @@ def _terms_json(seq) -> list[dict]:
         {
             "relator": t.relator.label,
             "sign": "+" if t.sign > 0 else "-",
-            "conjugator": render_group(t.conjugator),
+            "conjugator": render_conjugator(t),
         }
         for t in seq
     ]

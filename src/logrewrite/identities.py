@@ -28,7 +28,9 @@ from .words import (
     GroupWord,
     MonoidWord,
     WordError,
+    _inverted,
     _monoid_word,
+    _product,
     free_multiply,
     inverse,
     mu,
@@ -198,7 +200,7 @@ def separation_identity(
     cycle = ()
     for e, direction in relator_cycle_edges(g, rho, graph):
         cycle += e.k1 if direction > 0 else invert(e.k1)
-    head = (YTerm(rho, NEG, GroupWord(g.alphabet)),)
+    head = (YTerm(rho, NEG, ()),)
     return cancel_adjacent(head + act(cycle, mu_inverse(g)))
 
 
@@ -237,10 +239,8 @@ def _orbit_key(s: YSequence) -> tuple:
     ``u_i u_0^-1`` unchanged: a sequence and all its translates share the
     key, and two sequences with equal keys are translates of each other.
     """
-    back = inverse(s[0].conjugator)
-    return tuple(
-        (t.relator, t.sign, free_multiply(t.conjugator, back).letters) for t in s
-    )
+    back = _inverted(s[0].conjugator)
+    return tuple((t.relator, t.sign, _product(t.conjugator, back)) for t in s)
 
 
 def _duplicate_status(
@@ -256,9 +256,9 @@ def _duplicate_status(
     for c, exact in ((form, DUPLICATE), (invert(form), INVERSE_DUP)):
         if not c:
             continue
-        back = inverse(c[0].conjugator)
+        back = _inverted(c[0].conjugator)
         for u0 in kept_orbits.get(_orbit_key(c), ()):
-            quotient = free_multiply(back, u0).letters
+            quotient = _product(back, u0)
             if not quotient:
                 return exact
             conjugate = conjugate or quotient in vertex_words
@@ -298,7 +298,7 @@ def simplify_identity_list(
     nf = normal_form_fn(graph.sys)
     ordered = sorted(records, key=_sort_key)
     # orbit key -> the first conjugators of the kept forms with that key
-    kept_orbits: dict[tuple, list[GroupWord]] = {}
+    kept_orbits: dict[tuple, list[tuple]] = {}
     vertex_words = {mu_inverse(v).letters for v in graph.vertices}
     for rec in ordered:
         seq = rec.sequence
@@ -371,7 +371,7 @@ def identity_for(
     reduced, log = logged_reduce(word, sys)
     if len(reduced):  # pragma: no cover - conjugates of relators are trivial
         raise WordError(f"conjugated relator {word!r} did not reduce to the identity")
-    return cancel_adjacent((YTerm(rho, NEG, inverse(sigma)),) + log)
+    return cancel_adjacent((YTerm(rho, NEG, inverse(sigma).letters),) + log)
 
 
 def k1_for(

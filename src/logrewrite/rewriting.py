@@ -18,11 +18,10 @@ from typing import Callable, Container, Iterable, Optional
 
 from .presentation import Presentation
 from .words import (
-    GroupWord,
     MonoidWord,
     WordError,
-    _group_word,
     _monoid_word,
+    _product,
     free_multiply,
     inverse,
     mu,
@@ -71,23 +70,25 @@ class LoggedRule:
     """A rule ``lhs -> rhs`` with its id and its log, a Y-sequence with
     ``mu_inverse(lhs) = boundary(log) * mu_inverse(rhs)`` in F(X).
 
-    A rule is never changed once built, but for its log and log terms,
-    built on first use.  A rule built with ``LoggedRule(...)``, such as
-    an initial rule, has the log it was given.  A rule that completion
-    forms (``_formed_rule``) holds a recipe for its log instead, and
-    builds the log on the first read of ``log``: the recipe's sequence
-    closed with ``peiffer_closure``.  The recipe is then dropped.  Most
-    formed rules are removed before anything reads their log, so their
-    logs are never built.  ``logged`` says whether the log is non-empty
-    without building it: a formed rule's log never is, since its
-    boundary is lhs rhs^-1 != 1.
+    A rule is never changed once built, but for its log, built on first
+    use.  A rule built with ``LoggedRule(...)``, such as an initial rule,
+    has the log it was given.  A rule that completion forms
+    (``_formed_rule``) holds a recipe for its log instead, and builds the
+    log on the first read of ``log``: the recipe's sequence closed with
+    ``peiffer_closure``.  The recipe is then dropped.  Most formed rules
+    are removed before anything reads their log, so their logs are never
+    built.  ``logged`` says whether the log is non-empty without building
+    it: a formed rule's log never is, since its boundary is
+    lhs rhs^-1 != 1.
 
     ``plan`` is what a rewrite by the rule needs (``_reduce``): ``(id,
     lhs length, rhs letters, pair, logged)``, where ``pair`` says the
-    rule is ``x x^-1 -> 1`` with an empty log.
+    rule is ``x x^-1 -> 1`` with an empty log.  A logged rewrite reads
+    the terms of ``log`` as they are: each holds its conjugator's
+    letters (``YTerm``), so no second copy of the log is kept.
     """
 
-    __slots__ = ("lhs", "rhs", "id", "logged", "plan", "_log", "_recipe", "_terms")
+    __slots__ = ("lhs", "rhs", "id", "logged", "plan", "_log", "_recipe")
 
     def __init__(self, lhs: MonoidWord, log: YSequence, rhs: MonoidWord, id: int):
         _init_rule(self, lhs, rhs, id, log, None)
@@ -100,16 +101,6 @@ class LoggedRule:
         if self._recipe is not None:
             _build_logs(self)
         return self._log
-
-    def log_terms(self) -> tuple:
-        """``(terms, triples)``: the log and, for each of its terms, the
-        relator, the sign and the conjugator's letters; built on the
-        first call."""
-        if self._terms is None:
-            terms = self.log
-            triples = tuple([(t.relator, t.sign, t.conjugator.letters) for t in terms])
-            object.__setattr__(self, "_terms", (terms, triples))
-        return self._terms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LoggedRule):
@@ -148,7 +139,7 @@ def _init_rule(
     for name, value in (
         ("lhs", lhs), ("rhs", rhs), ("id", rule_id), ("logged", logged),
         ("plan", (rule_id, len(l), r, pair, logged)),
-        ("_log", log), ("_recipe", recipe), ("_terms", None),
+        ("_log", log), ("_recipe", recipe),
     ):
         object.__setattr__(rule, name, value)
 
@@ -298,7 +289,7 @@ def initial_logged_system(p: Presentation) -> LoggedRewriteSystem:
     relator itself, then one cancellation rule per signed letter (2|X|
     of them), with ids from 1 in that order."""
     al = p.alphabet
-    pairs = [(mu(rho.word), (YTerm(rho, POS, GroupWord(al)),)) for rho in p.relators]
+    pairs = [(mu(rho.word), (YTerm(rho, POS, ()),)) for rho in p.relators]
     pairs += [(MonoidWord(al, (c, c ^ 1)), ()) for c in al.letters()]
     empty = MonoidWord(al)
     rules = [LoggedRule(l, log, empty, i) for i, (l, log) in enumerate(pairs, 1)]
@@ -366,8 +357,7 @@ def _reduce(
     that skips no rule takes the plan of the first rule its state lists
     (``LoggedRewriteSystem._first_plan``), and one that skips rules, or
     reads on in a nested system, takes the plan of the rule it chose by
-    id.  A logged rewrite reads the rule's log terms as (relator, sign,
-    conjugator letters) (``LoggedRule.log_terms``).
+    id.  A logged rewrite reads the rule's ``log``.
 
     A rewrite at ``pos`` leaves ``word[:pos]`` alone, and no match lies
     inside it, since none starts before ``pos``; so the stack is cut
@@ -398,11 +388,11 @@ def _reduce(
     cursor past ``pos`` back to ``pos``, and builds nothing.  A rewrite
     by a rule with a non-empty log moves the cursor to ``pos`` and
     builds the inverse prefix ``v`` once, as one tuple; each term
-    ``(rho^e)^a`` of the rule's log is appended as ``(rho^e)^{a v}``,
-    its conjugator built with the trusted ``_group_word``.  Both words
-    are reduced, so ``a v`` can cancel only at the seam: it is ``a + v``
-    unless the last letter of ``a`` cancels the first of ``v``, and only
-    then is the seam cancelled outwards, as ``free_multiply`` does.
+    ``(rho^e)^a`` of the rule's log is appended as ``(rho^e)^{a v}``.
+    Both conjugators are reduced letter tuples, so ``a v`` can cancel
+    only at the seam: it is ``a + v`` unless the last letter of ``a``
+    cancels the first of ``v``, and only then is the seam cancelled
+    outwards (``words._product``).
     """
     alphabet = w.alphabet
     if alphabet is not sys.presentation.alphabet:  # one test when it is
@@ -487,8 +477,7 @@ def _reduce(
                     inv.append(c)
                 k -= 1
             if logged:
-                rule = by_id[rid]
-                terms, triples = rule._terms or rule.log_terms()
+                terms = by_id[rid].log
                 while k < pos:
                     c = word[k]
                     if inv and inv[-1] == c:
@@ -499,18 +488,11 @@ def _reduce(
                     k += 1
                 if inv:
                     v = tuple(inv[::-1])
-                    seam, nv = v[0] ^ 1, len(v)
-                    for relator, sign, a in triples:
-                        if a and a[-1] == seam:
-                            # cancel outwards from the seam, as free_multiply does
-                            i, m = len(a) - 1, 1
-                            while i and m < nv and a[i - 1] ^ 1 == v[m]:
-                                i -= 1
-                                m += 1
-                            a = a[:i] + v[m:]
-                        else:
-                            a = a + v
-                        log.append(YTerm(relator, sign, _group_word(alphabet, a)))
+                    seam = v[0] ^ 1
+                    for t in terms:
+                        a = t.conjugator
+                        a = _product(a, v) if a and a[-1] == seam else a + v
+                        log.append(YTerm(t.relator, t.sign, a))
                 else:
                     log.extend(terms)
         word[pos:cut] = rhs
@@ -656,9 +638,10 @@ class CompletionReport:
 
     The list holds one object per distinct term: equal terms of all its
     identities are the same ``YTerm``, so callers must treat terms as
-    read-only.  The first read is the cost: about 0.4 s on D40, 2.4 s
-    and a 71 MB process peak on PSL(2,7), and 141 s and a 1.5 GB peak on
-    A6 (2-vCPU VM, Python 3.11).
+    read-only.  The first read is the cost: about 0.3 s on D40, 1.8 s
+    and a 67 MB process peak on PSL(2,7) (2-vCPU VM, Python 3.11); on
+    A6, 141 s and a 1.5 GB peak, measured when conjugators were
+    ``GroupWord``s.
     """
 
     final_system: LoggedRewriteSystem

@@ -15,9 +15,10 @@ the ``mu`` translations) build their results through the trusted
 valid words over one alphabet, so every output code is valid too; and
 since a product of two reduced words can only cancel where they meet
 and a reduced word read backwards with every letter inverted is
-reduced, neither needs a full reduction pass.  The logged reducer
-(``rewriting._reduce``) builds the conjugators of its log terms through
-``_group_word`` on the same grounds.
+reduced, neither needs a full reduction pass.  The product and the
+inverse are done on bare letter tuples by ``_product`` and
+``_inverted``, which the conjugators of Y-sequence terms (tuples of
+letter codes, see ``ysequences``) use directly.
 """
 
 from __future__ import annotations
@@ -198,29 +199,32 @@ def mu_inverse(w: MonoidWord) -> GroupWord:
     return _group_word(w.alphabet, _reduce(w.letters))
 
 
-def free_multiply(u: GroupWord, v: GroupWord) -> GroupWord:
-    """Product in F(X): both factors are reduced, so letters cancel only
-    at the seam, pairwise outwards from it."""
-    if u.alphabet is not v.alphabet:
-        _check_same(u, v)
-    a, b = u.letters, v.letters
-    if not a:
-        return v
-    if not b:
-        return u
+def _product(a: tuple, b: tuple) -> tuple:
+    """The letters of the product of two reduced words: letters cancel
+    only at the seam, pairwise outwards from it."""
     i, j, n = len(a), 0, len(b)
     while i and j < n and a[i - 1] ^ 1 == b[j]:
         i -= 1
         j += 1
-    return _group_word(u.alphabet, a[:i] + b[j:] if j else a + b)
+    return a[:i] + b[j:] if j else a + b
+
+
+def _inverted(a: tuple) -> tuple:
+    """The letters of the inverse of a reduced word: read backwards with
+    every letter inverted, it is reduced."""
+    return tuple([c ^ 1 for c in reversed(a)])
+
+
+def free_multiply(u: GroupWord, v: GroupWord) -> GroupWord:
+    """Product in F(X) (``_product``)."""
+    if u.alphabet is not v.alphabet:
+        _check_same(u, v)
+    return _group_word(u.alphabet, _product(u.letters, v.letters))
 
 
 def inverse(w: GroupWord) -> GroupWord:
-    """Group inverse: a reduced word read backwards with every letter
-    inverted is reduced."""
-    if not w.letters:
-        return w
-    return _group_word(w.alphabet, tuple([c ^ 1 for c in reversed(w.letters)]))
+    """Group inverse (``_inverted``)."""
+    return _group_word(w.alphabet, _inverted(w.letters))
 
 
 # -- textual rendering and parsing -------------------------------------------

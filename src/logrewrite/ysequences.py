@@ -1,15 +1,18 @@
 """Y-sequences: formal products of conjugated relators.
 
 A term ``(rho^e)^u`` is a relator ``rho``, a sign ``e`` and a conjugating
-word ``u`` in the free group.  A Y-sequence is a plain ``tuple`` of
-``YTerm``: an element of the free monoid on the terms, with ``+`` as the
-product and ``()`` as the identity.  Sequences carry the logging
-information of every rewrite, and sequences with trivial boundary are
-identities among the relations.
+word ``u`` in the free group, held as the tuple of its letter codes, a
+reduced word over the relator's alphabet.  A Y-sequence is a plain
+``tuple`` of ``YTerm``: an element of the free monoid on the terms, with
+``+`` as the product and ``()`` as the identity.  Sequences carry the
+logging information of every rewrite, and sequences with trivial
+boundary are identities among the relations.
 
 ``YTerm(...)`` is the one constructor of a term, and it validates
 nothing: the operations here and the logged reducer in ``rewriting``
-build terms from a relator, a sign and a word they already hold.
+build terms from a relator, a sign and reduced letters they already
+hold, with the letter helpers ``words._product`` and ``_inverted``.
+Words given or returned are ``GroupWord``s (``act``, ``boundary``).
 
 The module keeps no state between calls: boundaries (:func:`boundary`,
 one free reduction over the letters of all the terms) and stripped
@@ -32,11 +35,12 @@ from .words import (
     NEG,
     POS,
     WordError,
+    _check_same,
     _group_word,
+    _inverted,
+    _monoid_word,
+    _product,
     _reduce,
-    free_multiply,
-    inverse,
-    mu,
     parse_group,
     render_group,
 )
@@ -94,11 +98,14 @@ def _root_of(word: GroupWord) -> tuple[GroupWord, int]:
 
 class YTerm:
     """A term ``(rho^e)^u``: a relator, a sign (POS or NEG) and a
-    conjugator.  Terms compare equal and hash on the three fields."""
+    conjugator, the tuple of the letter codes of a reduced word over the
+    relator's alphabet.  Terms compare equal and hash on the three
+    fields; the hash is that of a term with the conjugator as a
+    ``GroupWord``, which hashes its letters."""
 
     __slots__ = ("relator", "sign", "conjugator")
 
-    def __init__(self, relator: RelatorRef, sign: int, conjugator: GroupWord):
+    def __init__(self, relator: RelatorRef, sign: int, conjugator: tuple):
         self.relator = relator
         self.sign = sign
         self.conjugator = conjugator
@@ -134,21 +141,22 @@ def boundary(s: YSequence, alphabet: Alphabet) -> GroupWord:
     so the cost is linear in the letters."""
     letters: list[int] = []
     for t in s:
-        u = t.conjugator.letters
+        u = t.conjugator
         w = t.relator.word.letters
-        letters += [c ^ 1 for c in reversed(u)]
-        letters += w if t.sign == POS else [c ^ 1 for c in reversed(w)]
+        letters += _inverted(u)
+        letters += w if t.sign == POS else _inverted(w)
         letters += u
     return _group_word(alphabet, _reduce(letters))
 
 
 def act(s: YSequence, v: GroupWord) -> YSequence:
-    """Right action of F(X): append ``v`` to every conjugator."""
+    """Right action of F(X): append ``v`` to every conjugator.  A ``v``
+    over another alphabet than the terms' raises ``WordError``."""
     if v.is_identity() or not s:
         return s
-    return tuple(
-        [YTerm(t.relator, t.sign, free_multiply(t.conjugator, v)) for t in s]
-    )
+    _check_same(s[0].relator.word, v)
+    b = v.letters
+    return tuple([YTerm(t.relator, t.sign, _product(t.conjugator, b)) for t in s])
 
 
 def invert(s: YSequence) -> YSequence:
@@ -190,17 +198,19 @@ def _strip_conjugator(t: YTerm, use_root: bool) -> YTerm:
     which needs ``h`` and ``u`` to start with the same letter, so the
     other heads are skipped.
     """
-    heads = [t.relator.word, inverse(t.relator.word)]
+    w = t.relator.word.letters
+    heads = [w, _inverted(w)]
     if use_root and t.relator.root_power > 1:
-        heads += [t.relator.root, inverse(t.relator.root)]
+        r = t.relator.root.letters
+        heads += [r, _inverted(r)]
     u = t.conjugator
     changed = True
-    while changed and len(u):
+    while changed and u:
         changed = False
         for head in heads:
-            if head.letters[0] != u.letters[0]:
+            if head[0] != u[0]:
                 continue
-            candidate = free_multiply(inverse(head), u)
+            candidate = _product(_inverted(head), u)
             if len(candidate) < len(u):
                 u = candidate
                 changed = True
@@ -212,25 +222,24 @@ def _sandwich_once(terms: tuple, use_root: bool):
     """Collapse the first sandwich ``y^- Z y^+`` (or ``y^+ Z y^-``): the
     lowest ``i`` with an inverse term at some ``j > i``, and the lowest
     such ``j``.  Right to left, ``nearest`` maps each term's (relator,
-    sign, conjugator letters) to its nearest later position, so the pair
+    sign, conjugator) to its nearest later position, so the pair
     found last is the first one, without a scan over all pairs."""
     nearest: dict[tuple, int] = {}
     first = None
     for i in range(len(terms) - 1, -1, -1):
         t = terms[i]
-        letters = t.conjugator.letters
-        j = nearest.get((t.relator, -t.sign, letters))
+        j = nearest.get((t.relator, -t.sign, t.conjugator))
         if j is not None:
             first = i, j
-        nearest[(t.relator, t.sign, letters)] = i
+        nearest[(t.relator, t.sign, t.conjugator)] = i
     if first is None:
         return None
     i, j = first
-    shift = inverse(boundary((terms[i],), terms[i].conjugator.alphabet))
+    y = terms[i]
+    shift = _inverted(boundary((y,), y.relator.word.alphabet).letters)
     middle = [
         _strip_conjugator(
-            YTerm(t.relator, t.sign, free_multiply(t.conjugator, shift)),
-            use_root,
+            YTerm(t.relator, t.sign, _product(t.conjugator, shift)), use_root
         )
         for t in terms[i + 1 : j]
     ]
@@ -241,25 +250,23 @@ def _transpositions(terms: tuple, max_conj: int):
     """Neighbours under the Peiffer exchange rule, both directions."""
     for i in range(len(terms) - 1):
         a, b = terms[i], terms[i + 1]
-        alphabet = a.conjugator.alphabet
+        alphabet = a.relator.word.alphabet
         # move a rightwards: (a b) -> (b a^{delta b})
-        shift = boundary((b,), alphabet)
-        moved = YTerm(a.relator, a.sign, free_multiply(a.conjugator, shift))
+        shift = boundary((b,), alphabet).letters
+        moved = YTerm(a.relator, a.sign, _product(a.conjugator, shift))
         moved = _strip_conjugator(moved, True)
         if len(moved.conjugator) <= max_conj:
             yield terms[:i] + (b, moved) + terms[i + 2 :]
         # move b leftwards: (a b) -> (b^{(delta a)^-1} a)
-        shift = inverse(boundary((a,), alphabet))
-        moved = YTerm(b.relator, b.sign, free_multiply(b.conjugator, shift))
+        shift = _inverted(boundary((a,), alphabet).letters)
+        moved = YTerm(b.relator, b.sign, _product(b.conjugator, shift))
         moved = _strip_conjugator(moved, True)
         if len(moved.conjugator) <= max_conj:
             yield terms[:i] + (moved, a) + terms[i + 2 :]
 
 
 def _seq_key(terms: tuple) -> tuple:
-    return tuple(
-        (t.relator.label, t.sign, t.conjugator.letters) for t in terms
-    )
+    return tuple((t.relator.label, t.sign, t.conjugator) for t in terms)
 
 
 def _weight(terms: tuple) -> tuple[int, int]:
@@ -374,7 +381,7 @@ def is_primary_identity(
         return False
     by_class = Counter()
     for t in s:
-        by_class[t.relator, nf(mu(t.conjugator)).letters] += t.sign
+        by_class[t.relator, nf(_monoid_word(alphabet, t.conjugator)).letters] += t.sign
     return not any(by_class.values())
 
 
@@ -383,12 +390,17 @@ def is_primary_identity(
 # `(r1^+)^{a^-1 b}` style; the empty sequence renders as `<idY>`.
 
 
+def render_conjugator(t: YTerm) -> str:
+    """The conjugator of ``t`` as ``render_group`` prints a word."""
+    return render_group(_group_word(t.relator.word.alphabet, t.conjugator))
+
+
 def render_yterm(t: YTerm) -> str:
     sign = "+" if t.sign == POS else "-"
     head = f"({t.relator.label}^{sign})"
-    if t.conjugator.is_identity():
+    if not t.conjugator:
         return head
-    return f"{head}^{{{render_group(t.conjugator)}}}"
+    return f"{head}^{{{render_conjugator(t)}}}"
 
 
 def render_ysequence(s: YSequence) -> str:
@@ -420,13 +432,13 @@ def parse_ysequence(
             raise WordError(f"bad sign in term {text[start:close + 1]!r}")
         if label not in relators:
             raise WordError(f"unknown relator {label!r}")
-        conj = GroupWord(alphabet)
+        conj = ()
         pos = close + 1
         if text[pos : pos + 2] == "^{":
             end = text.find("}", pos)
             if end < 0:
                 raise WordError(f"unclosed term {text[start:]!r}")
-            conj = parse_group(alphabet, text[pos + 2 : end])
+            conj = parse_group(alphabet, text[pos + 2 : end]).letters
             pos = end + 1
         terms.append(
             YTerm(relators[label], POS if sign_text == "+" else NEG, conj)

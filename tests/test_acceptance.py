@@ -219,7 +219,7 @@ def test_criterion_5_abelian():
                         free_multiply(
                             power(parse_group(al, "y"), -j),
                             power(parse_group(al, "x"), -n),
-                        ),
+                        ).letters,
                     )
                     for j in range(m - 1, -1, -1)
                 ]
@@ -301,7 +301,7 @@ def test_criterion_7_property_suite():
                     GroupWord(
                         q8p.alphabet,
                         [rng.randrange(4) for _ in range(rng.randrange(5))],
-                    ),
+                    ).letters,
                 )
                 for _ in range(rng.randrange(5))
             ]

@@ -320,7 +320,9 @@ def pairing_search(s, nf):
         ti, tj = s[i], s[j]
         if ti.relator != tj.relator or ti.sign != -tj.sign:
             return False
-        q = free_multiply(ti.conjugator, inverse(tj.conjugator))
+        al = ti.relator.word.alphabet
+        u, v = GroupWord(al, ti.conjugator), GroupWord(al, tj.conjugator)
+        q = free_multiply(u, inverse(v))
         return len(nf(mu(q))) == 0
 
     def match(unused):
@@ -462,7 +464,7 @@ class TestDiscardCases:
 
     def test_long_record_cancelling_to_empty(self, q8, setting):
         graph, kept = setting
-        t = YTerm(q8.relators[0], POS, GroupWord(q8.alphabet))
+        t = YTerm(q8.relators[0], POS, ())
         seq = YSequence([t, t.inverted()] * 11)
         assert len(seq) > 20 and not cancel_adjacent(seq)
         records = [
@@ -474,7 +476,7 @@ class TestDiscardCases:
 
     def test_nontrivial_boundary_raises(self, q8, setting):
         graph, _ = setting
-        t = YTerm(q8.relators[0], POS, GroupWord(q8.alphabet))
+        t = YTerm(q8.relators[0], POS, ())
         rec = IdentityRecord(graph.vertices[0], q8.relators[0], YSequence([t]))
         with pytest.raises(WordError):
             simplify_identity_list([rec], graph)
@@ -639,7 +641,7 @@ def conjugate_text(al, j, n):
         power(parse_group(al, "y"), -j), power(parse_group(al, "x"), -n)
     )
     return render_ysequence(
-        YSequence([YTerm(_abelian_rho(al), NEG, conj)])
+        YSequence([YTerm(_abelian_rho(al), NEG, conj.letters)])
     )
 
 

@@ -30,7 +30,6 @@ from logrewrite.rewriting import (
 )
 from logrewrite.words import (
     Alphabet,
-    GroupWord,
     MonoidWord,
     WordError,
     free_multiply,
@@ -181,7 +180,7 @@ class TestLoggedReduce:
         term for term."""
         p = parse_presentation("generators: a, b\nrelators:\n  r1 = b^3\n")
         al, rho = p.alphabet, p.relators[0]
-        u, one = parse_group(al, "b a"), GroupWord(al)
+        u, one = parse_group(al, "b a").letters, ()
         log = (YTerm(rho, POS, u), YTerm(rho, NEG, u), YTerm(rho, POS, one))
         rules = initial_logged_system(p).rules
         rule = LoggedRule(rules[0].lhs, log, rules[0].rhs, rules[0].id)
@@ -193,7 +192,8 @@ class TestLoggedReduce:
             nf, got = logged_reduce(parse_monoid(al, prefix + "bbb"), system)
             assert nf == parse_monoid(al, prefix)
             assert got == act(rule.log, v)
-            assert [t.conjugator for t in got[:2]] == [parse_group(al, left)] * 2
+            want = parse_group(al, left).letters
+            assert [t.conjugator for t in got[:2]] == [want] * 2
             assert len(u) + len(v) - len(got[0].conjugator) >= 4
 
 
@@ -269,7 +269,7 @@ class TestRulePlans:
         of the state that ends ``bbb``) and with ``aA -> 1`` skipped (the
         plan looked up by id)."""
         p = parse_presentation("generators: a, b\nrelators:\n  r1 = b^3\n")
-        al, rho, one = p.alphabet, p.relators[0], GroupWord(p.alphabet)
+        al, rho, one = p.alphabet, p.relators[0], ()
         system = initial_logged_system(p)
         old = system.rules[0]
         log = (YTerm(rho, POS, one), YTerm(rho, NEG, one), YTerm(rho, POS, one))
@@ -1336,8 +1336,8 @@ COLLAPSE_WORDS = {
 
 def _identity_log(p):
     """``(r1^+)(r1^-)``: a log whose boundary is 1."""
-    rho, al = p.relators[0], p.alphabet
-    return (YTerm(rho, POS, GroupWord(al)), YTerm(rho, NEG, GroupWord(al)))
+    rho = p.relators[0]
+    return (YTerm(rho, POS, ()), YTerm(rho, NEG, ()))
 
 
 class TestSeamCollapse:

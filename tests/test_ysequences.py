@@ -7,13 +7,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from logrewrite.rewriting import logged_reduce
 from logrewrite.words import (
     Alphabet,
     GroupWord,
+    MonoidWord,
     WordError,
     free_multiply,
     inverse,
     parse_group,
+    parse_monoid,
 )
 from logrewrite.ysequences import (
     NEG,
@@ -55,12 +58,17 @@ def group_words(max_size=6):
     )
 
 
+def conjugators(max_size=6):
+    """A term's conjugator: the letters of a reduced word over AB."""
+    return group_words(max_size).map(lambda w: w.letters)
+
+
 def yterms():
     return st.builds(
         YTerm,
         st.sampled_from([R1, R2, R3, R4]),
         st.sampled_from([POS, NEG]),
-        group_words(),
+        conjugators(),
     )
 
 
@@ -74,7 +82,7 @@ def boundary_oracle(s):
     out = GroupWord(AB)
     for t in s:
         w = t.relator.word if t.sign == POS else inverse(t.relator.word)
-        out = free_multiply(out, conjugate(w, t.conjugator))
+        out = free_multiply(out, conjugate(w, GroupWord(AB, t.conjugator)))
     return out
 
 
@@ -92,32 +100,69 @@ class TestRelatorRef:
 
 class TestYTerm:
     """A term is a value: equal and equally hashed when its relator, sign
-    and conjugator are."""
+    and conjugator letters are."""
 
     def test_value_contract(self):
         u = parse_group(AB, "a b^-1")
-        t = YTerm(R1, POS, u)
-        same = YTerm(R1, POS, parse_group(AB, "a b^-1"))
+        t = YTerm(R1, POS, u.letters)
+        same = YTerm(R1, POS, parse_group(AB, "a b^-1").letters)
         assert t == same and t is not same and hash(t) == hash(same)
-        assert t != YTerm(R1, NEG, u)
-        assert t != YTerm(R2, POS, u)
-        assert t != YTerm(R1, POS, GroupWord(AB))
+        assert t != YTerm(R1, NEG, u.letters)
+        assert t != YTerm(R2, POS, u.letters)
+        assert t != YTerm(R1, POS, ())
         assert t != (R1, POS, u) and t.__eq__((R1, POS, u)) is NotImplemented
         # the hash a frozen dataclass of the three fields gives, so that
-        # sets and dicts of terms iterate in the same order
+        # sets and dicts of terms iterate in the same order; a conjugator's
+        # letters hash as the GroupWord they spell
         assert hash(t) == hash((R1, POS, u))
         assert repr(t) == (
-            "YTerm(relator=RelatorRef(r1=a a a a), sign=1, "
-            "conjugator=GroupWord('a b^-1'))"
+            "YTerm(relator=RelatorRef(r1=a a a a), sign=1, conjugator=(0, 3))"
         )
         assert not hasattr(t, "__dict__")
-        assert t.inverted() == YTerm(R1, NEG, u)
-        assert (t.relator, t.sign, t.conjugator) == (R1, POS, u)
+        assert t.inverted() == YTerm(R1, NEG, u.letters)
+        assert (t.relator, t.sign, t.conjugator) == (R1, POS, u.letters)
+
+
+def assert_letter_terms(terms):
+    """Each term's conjugator is a tuple of the letter codes of a freely
+    reduced word over its relator's alphabet."""
+    for t in terms:
+        u, n = t.conjugator, 2 * len(t.relator.word.alphabet)
+        assert type(u) is tuple, t
+        assert all(u[i] ^ 1 != u[i + 1] for i in range(len(u) - 1)), t
+        assert all(type(c) is int and 0 <= c < n for c in u), t
+
+
+class TestTermContract:
+    """Every term the library builds holds its conjugator's letters."""
+
+    def test_hash_is_that_of_the_group_word(self):
+        w = parse_group(AB, "a b^-1 a")
+        assert hash(YTerm(R1, NEG, w.letters)) == hash((R1, NEG, w))
+
+    @pytest.mark.parametrize("name", ["q8", "trefoil"])
+    def test_library_terms(self, request, name):
+        p = request.getfixturevalue(name)
+        report = request.getfixturevalue(f"{name}_report")
+        system = report.final_system
+        n = 2 * len(p.alphabet)
+        w = MonoidWord(p.alphabet, [(5 * i + i // 3) % n for i in range(40)])
+        seqs = [logged_reduce(w, system)[1]]
+        seqs += [rule.log for rule in system.rules]
+        seqs += report.identities
+        if name == "q8":
+            result = request.getfixturevalue("q8_pipeline")
+            seqs += [e.k1 for e in result.graph.edges.values()]
+            seqs += [r.sequence for r in result.records]
+            seqs += result.report.identities
+        assert any(t.conjugator for s in seqs for t in s)
+        for s in seqs:
+            assert_letter_terms(s)
 
 
 class TestBoundary:
     def test_single_term(self):
-        t = YTerm(R4, POS, parse_group(AB, "a^-2"))
+        t = YTerm(R4, POS, parse_group(AB, "a^-2").letters)
         assert boundary(YSequence([t]), AB) == parse_group(AB, "a^2 a^2 b^2 a^-2")
 
     def test_empty_needs_alphabet(self):
@@ -141,25 +186,36 @@ class TestOperations:
     def test_act_boundary(self, s, v):
         assert boundary(act(s, v), AB) == conjugate(boundary(s, AB), v)
 
+    def test_act_checks_the_alphabet(self, q8, q8_system):
+        log = logged_reduce(parse_monoid(q8.alphabet, "abab"), q8_system)[1]
+        assert log
+        with pytest.raises(WordError, match="alphabet mismatch"):
+            act(log, parse_group(Alphabet(["x", "y"]), "x"))
+        # an equal alphabet built a second time is accepted
+        again = Alphabet(["a", "b"])
+        assert again is not q8.alphabet
+        want = act(log, parse_group(q8.alphabet, "a b"))
+        assert act(log, parse_group(again, "a b")) == want
+
     def test_concat(self):
-        s = YSequence([YTerm(R1, POS, GroupWord(AB))])
+        s = YSequence([YTerm(R1, POS, ())])
         assert len(s + s) == 2
 
 
 class TestCancelAdjacent:
     def test_exact_inverse_pair(self):
-        u = parse_group(AB, "a b")
+        u = parse_group(AB, "a b").letters
         s = YSequence([YTerm(R1, POS, u), YTerm(R1, NEG, u)])
         assert cancel_adjacent(s) == ()
 
     def test_different_conjugator_survives(self):
         s = YSequence(
-            [YTerm(R1, POS, parse_group(AB, "a")), YTerm(R1, NEG, GroupWord(AB))]
+            [YTerm(R1, POS, parse_group(AB, "a").letters), YTerm(R1, NEG, ())]
         )
         assert cancel_adjacent(s) == s
 
     def test_nested_pairs(self):
-        u = parse_group(AB, "a")
+        u = parse_group(AB, "a").letters
         s = YSequence(
             [
                 YTerm(R2, POS, u),
@@ -189,14 +245,12 @@ class TestNormalisation:
     def test_root_normalize_strips_relator_powers(self):
         # conjugating a term by the relator's own root is Peiffer-neutral
         # up to a root identity
-        t = YTerm(R1, POS, parse_group(AB, "a^-1"))
-        assert root_normalize(YSequence([t])) == YSequence(
-            [YTerm(R1, POS, GroupWord(AB))]
-        )
+        t = YTerm(R1, POS, parse_group(AB, "a^-1").letters)
+        assert root_normalize(YSequence([t])) == YSequence([YTerm(R1, POS, ())])
 
     def test_simplify_cancels_separated_pair(self):
         # X Y X^-1 with boundary-trivial flank collapses
-        u = parse_group(AB, "b")
+        u = parse_group(AB, "b").letters
         s = YSequence(
             [
                 YTerm(R1, POS, u),
@@ -215,7 +269,7 @@ def strip_reference(t, use_root):
     heads = [t.relator.word, inverse(t.relator.word)]
     if use_root and t.relator.root_power > 1:
         heads += [t.relator.root, inverse(t.relator.root)]
-    u = t.conjugator
+    u = GroupWord(t.relator.word.alphabet, t.conjugator)
     changed = True
     while changed and len(u):
         changed = False
@@ -225,7 +279,7 @@ def strip_reference(t, use_root):
                 u = candidate
                 changed = True
                 break
-    return t if u == t.conjugator else YTerm(t.relator, t.sign, u)
+    return t if u.letters == t.conjugator else YTerm(t.relator, t.sign, u.letters)
 
 
 @st.composite
@@ -240,7 +294,7 @@ def strippable_terms(draw):
         u = free_multiply(u, head)
     tail = draw(st.lists(st.integers(min_value=0, max_value=3), max_size=6))
     u = free_multiply(u, GroupWord(alphabet, tail))
-    return YTerm(rho, draw(st.sampled_from([POS, NEG])), u)
+    return YTerm(rho, draw(st.sampled_from([POS, NEG])), u.letters)
 
 
 class TestStripConjugator:
@@ -264,7 +318,11 @@ def sandwich_reference(terms, use_root):
                 shift = inverse(boundary_oracle((ti,)))
                 middle = [
                     _strip_conjugator(
-                        YTerm(t.relator, t.sign, free_multiply(t.conjugator, shift)),
+                        YTerm(
+                            t.relator,
+                            t.sign,
+                            free_multiply(GroupWord(AB, t.conjugator), shift).letters,
+                        ),
                         use_root,
                     )
                     for t in terms[i + 1 : j]
@@ -287,7 +345,7 @@ def sandwich_sequences(draw):
                 YTerm,
                 st.sampled_from([R1, R1_AGAIN, R3, R4]),
                 st.sampled_from([POS, NEG]),
-                group_words(max_size=3),
+                conjugators(max_size=3),
             ),
             min_size=1,
             max_size=3,
@@ -378,7 +436,7 @@ class TestPrimaryIdentity:
         nf = self._nf()
         with pytest.raises(WordError, match="boundary-trivial"):
             is_primary_identity(
-                YSequence([YTerm(R1, POS, GroupWord(AB))]), nf, AB
+                YSequence([YTerm(R1, POS, ())]), nf, AB
             )
 
     def test_odd_length_never_primary(self):
@@ -396,7 +454,7 @@ class TestPrimaryIdentity:
     def test_long_sequence_primary(self):
         from logrewrite.ysequences import is_primary_identity
 
-        t = YTerm(R1, POS, GroupWord(AB))
+        t = YTerm(R1, POS, ())
         s = YSequence([t, t.inverted()] * 11)
         assert len(s) == 22
         assert is_primary_identity(s, self._nf(), AB)
@@ -405,7 +463,7 @@ class TestPrimaryIdentity:
 class TestRendering:
     def test_render_forms(self):
         assert render_ysequence(()) == "<idY>"
-        s = YSequence([YTerm(R1, NEG, parse_group(AB, "a^-1 b"))])
+        s = YSequence([YTerm(R1, NEG, parse_group(AB, "a^-1 b").letters)])
         assert render_ysequence(s) == "(r1^-)^{a^-1 b}"
 
     @given(ysequences())
