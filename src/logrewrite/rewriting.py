@@ -190,15 +190,19 @@ class LoggedRewriteSystem:
     (``automaton``).  ``complete`` is set by completion once every
     overlap of the rules resolves.  ``_first`` maps each automaton state
     a reduction has stopped at to the plan of the first rule the state
-    lists (``_first_plan``)."""
+    lists (``_first_plan``).  Beside it, ``_paths`` maps the id of each
+    rule whose overlaps have been decided to the automaton states read
+    along its lhs and its rhs (``_rule_paths``), where the scans of the
+    overlap's descendants start (``_normal_forms``)."""
 
     def __init__(self, presentation: Presentation, rules: Iterable[LoggedRule]):
         self.presentation = presentation
         self.rules = sorted(rules, key=attrgetter("id"))
         self.complete = False
         self._by_id = {rule.id: rule for rule in self.rules}
-        self._dfa: Optional[tuple[list[int], list, bool, list[int]]] = None
+        self._dfa: Optional[tuple[list[int], list, bool, list[int], list[int]]] = None
         self._first: dict[int, tuple] = {}
+        self._paths: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     def rules_by_id(self) -> list[LoggedRule]:
         return list(self.rules)
@@ -213,10 +217,11 @@ class LoggedRewriteSystem:
         sys._dfa = self.automaton()
         return sys
 
-    def automaton(self) -> tuple[list[int], list, bool, list[int]]:
+    def automaton(self) -> tuple[list[int], list, bool, list[int], list[int]]:
         """The Aho-Corasick automaton of the lhs set, ``(delta, out,
-        nested, depth)``, built on the first call.  It depends only on
-        each rule's id and lhs, so every system over one lhs set with the
+        nested, depth, cancels)``, built on the first call.  It depends
+        only on each rule's id and lhs, and on which ids are free-
+        cancellation rules, so every system over one lhs set with the
         same ids can share it (``replaced``).
 
         A state is the offset of its row in ``delta``, 0 the start, so
@@ -231,6 +236,15 @@ class LoggedRewriteSystem:
         is the trie depth of ``s``, the length of the longest suffix of
         the word read that is a prefix of an lhs; like ``out``, it is
         indexed by the state's offset.
+
+        ``cancels[x]``, for each letter ``x``, is the id of the first rule
+        listed at the state reached by reading ``x x^-1`` from the start
+        when that rule is a free-cancellation rule (its plan's ``pair``:
+        lhs ``x x^-1``, empty rhs, empty log), else 0.  It stays right in
+        a system that shares the automaton, because whether an id is a
+        pair rule never changes there: a pair rule's rhs is empty, so
+        interreduction never gives it a new rhs, and every rule that
+        takes an id's new rhs is formed, so logged, so not a pair.
         """
         if self._dfa is None:
             self._dfa = _index_automaton(
@@ -244,13 +258,34 @@ class LoggedRewriteSystem:
         plan = self._first[state] = self._by_id[self.automaton()[1][state][0][0]].plan
         return plan
 
+    def _rule_paths(self, rule_id: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The automaton states after each prefix of the lhs, and of the
+        rhs, of rule ``rule_id``, read from the start: ``path[i]`` is the
+        state after the first ``i`` letters, and each path stops before
+        the first state that lists a rule.  Cached in ``_paths``."""
+        paths = self._paths.get(rule_id)
+        if paths is None:
+            delta, out = self.automaton()[:2]
+            rule, built = self._by_id[rule_id], []
+            for word in (rule.lhs, rule.rhs):
+                s, path = 0, [0]
+                for c in word.letters:
+                    s = delta[s + c]
+                    if out[s]:
+                        break
+                    path.append(s)
+                built.append(tuple(path))
+            paths = self._paths[rule_id] = (built[0], built[1])
+        return paths
+
 
 def _index_automaton(
     rules: list[LoggedRule], width: int
-) -> tuple[list[int], list, bool, list[int]]:
+) -> tuple[list[int], list, bool, list[int], list[int]]:
     delta = [-1] * width  # -1: no edge in the trie (yet)
     out: list = [()] * width
     depth = [0] * width
+    cancels = [0] * width
     for rule in rules:  # in id order, so each state's own rules are too
         s = 0
         for c in rule.lhs.letters:
@@ -261,6 +296,8 @@ def _index_automaton(
                 out.extend([()] * width)
                 depth.extend([depth[s] + 1] * width)
             s = t
+        if not out[s] and rule.plan[3]:  # the first rule listed at x x^-1
+            cancels[rule.lhs.letters[0]] = rule.id
         out[s] += ((rule.id, len(rule.lhs.letters)),)
     nested = False
     order = [t for t in delta[:width] if t > 0]
@@ -281,7 +318,7 @@ def _index_automaton(
             else:
                 fail[t] = delta[f + c]
                 order.append(t)
-    return delta, out, nested, depth
+    return delta, out, nested, depth, cancels
 
 
 def initial_logged_system(p: Presentation) -> LoggedRewriteSystem:
@@ -323,6 +360,7 @@ def _reduce(
     skip: Container[int] = (),
     log: Optional[list] = None,
     applied: Optional[set] = None,
+    read: tuple[int, ...] = (0,),
 ) -> MonoidWord:
     """The scan of ``logged_reduce``: the normal form of ``w`` under the
     rules whose ids are not in ``skip``.  The log's terms are appended to
@@ -330,6 +368,14 @@ def _reduce(
     kept and no log is acted on.  The id of every rule applied is added
     to ``applied`` when it is a set.  A word over another alphabet than
     the system's raises ``WordError``.
+
+    ``read`` holds the automaton states after each prefix of
+    ``w[:len(read) - 1]``, from the start state on, and none of them may
+    list a rule.  The scan takes them as its own and starts at letter
+    ``len(read) - 1``: no lhs ends inside that prefix, so the scan would
+    have read it to the same states without a rewrite.  The default
+    starts at the first letter; ``_normal_forms`` passes the states along
+    a rule's lhs or rhs (``LoggedRewriteSystem._rule_paths``).
 
     The word is a list, rewritten in place (``word[pos:cut] = rhs``) and
     made a tuple once, at the end.  The scan reads it left to right on
@@ -372,11 +418,12 @@ def _reduce(
     system that is not ``nested`` collapses the run at its seam: while the
     letters on either side of the gap are ``y y^-1`` again and the
     cancellation rule of that pair is in the system, log-free and not
-    skipped, the pair is removed in the same step.  That is the rewrite
-    the scan would make next: nothing before the gap matched, and with no
-    lhs a subword of another, the only lhs that ends at the letter after
-    the gap is ``y y^-1`` itself.  Each pair counts one step against
-    ``REDUCE_MAX_STEPS`` and adds its id to ``applied``.
+    skipped (the automaton's ``cancels[y]``), the pair is removed in the
+    same step.  That is the rewrite the scan would make next: nothing
+    before the gap matched, and with no lhs a subword of another, the
+    only lhs that ends at the letter after the gap is ``y y^-1`` itself.
+    Each pair counts one step against ``REDUCE_MAX_STEPS`` and adds its
+    id to ``applied``.
 
     The inverse prefix is kept at a cursor ``k``: ``inv`` is the free
     reduction of ``word[:k]`` with every letter inverted, so ``inv[::-1]``
@@ -403,12 +450,13 @@ def _reduce(
             )
     max_steps, max_len = REDUCE_MAX_STEPS, REDUCE_MAX_WORD_LEN
     word = list(w.letters)
-    delta, out, nested, depth = sys.automaton()
+    delta, out, nested, depth, cancels = sys.automaton()
     by_id, first = sys._by_id, sys._first
-    states = [0]
+    states = list(read)
     inv: list[int] = []
     undo: list[int] = []
-    k = steps = pos = 0
+    k = steps = 0
+    pos = len(states) - 1
     while True:
         del states[pos + 1 :]
         s = states[pos]
@@ -453,12 +501,8 @@ def _reduce(
         cut = pos + length
         if pair and not nested:  # free cancellation: collapse the run at its seam
             while pos and cut < n and word[cut] == word[pos - 1] ^ 1:
-                # the state of the pair read alone lists its rule, if any
-                t = delta[delta[word[pos - 1]] + word[cut]]
-                if not out[t]:
-                    break
-                pair_id, _, _, is_pair, _ = first.get(t) or sys._first_plan(t)
-                if not is_pair or pair_id in skip:
+                pair_id = cancels[word[pos - 1]]
+                if not pair_id or pair_id in skip:
                     break
                 steps += 1
                 if steps > max_steps:
@@ -590,9 +634,18 @@ def _normal_forms(
 ) -> tuple[MonoidWord, MonoidWord]:
     """The normal forms ``(z, z')`` of the two descendants of the overlap;
     it resolves when they are equal.  No log is built; the id of every
-    rule applied is added to ``applied`` when it is a set."""
+    rule applied is added to ``applied`` when it is a set.
+
+    ``u r v`` starts with u, a prefix of the lhs of ``rule_a``, and
+    ``r' v'`` with the whole rhs of ``rule_a``, so each scan starts past
+    the states the system reads along that prefix until one lists a rule
+    (``_reduce``'s ``read``, from ``LoggedRewriteSystem._rule_paths``)."""
     w, wprime = _descendants(o, sys)
-    return _reduce(w, sys, applied=applied), _reduce(wprime, sys, applied=applied)
+    lhs_path, rhs_path = sys._rule_paths(o.rule_a)
+    return (
+        _reduce(w, sys, applied=applied, read=lhs_path[: o.pos + 1]),
+        _reduce(wprime, sys, applied=applied, read=rhs_path),
+    )
 
 
 def process_overlap(o: OverlapDescriptor, sys: LoggedRewriteSystem) -> YSequence:
@@ -693,9 +746,12 @@ def complete_presentation(
 
     Completion builds no log.  Each descendant of a pair is reduced
     once, without a log, and the two normal forms decide whether the
-    pair resolves and how its rule is oriented.  A formed rule keeps a
-    recipe for its log, built when the log is first read
-    (``LoggedRule``): most formed rules are removed unread.
+    pair resolves and how its rule is oriented (``_normal_forms``).  A
+    descendant starts with a prefix of the primed rule's lhs or with its
+    whole rhs, whose automaton states are fixed for the system, so its
+    scan starts past those that list no rule instead of reading them
+    again.  A formed rule keeps a recipe for its log, built when the log
+    is first read (``LoggedRule``): most formed rules are removed unread.
     """
     sys = initial_logged_system(p)
     report = CompletionReport(final_system=sys)

@@ -84,10 +84,16 @@ class Alphabet:
         return range(2 * len(self.names))
 
     def letter_name(self, code: int) -> str:
+        """The name of a signed letter as ``render_monoid`` prints it: ``a``
+        and ``A`` for a one-letter generator whose uppercase form the
+        parser reads back as its inverse, else ``name+`` and ``name-``.
+        ``ı`` (uppercase ``I``, the inverse of ``i``) and ``ß`` (uppercase
+        ``SS``) take the second form."""
         name = self.names[code >> 1]
-        if code & 1:
-            return name.upper() if len(name) == 1 and name.islower() else name + "-"
-        return name if len(name) == 1 and name.islower() else name + "+"
+        upper = name.upper()
+        if len(upper) == 1 and upper.isupper() and upper.lower() == name:
+            return upper if code & 1 else name
+        return name + ("-" if code & 1 else "+")
 
 
 class _Word:
@@ -230,7 +236,8 @@ def inverse(w: GroupWord) -> GroupWord:
 # -- textual rendering and parsing -------------------------------------------
 #
 # Monoid words render single-letter generators as `a` / `A` (uppercase for
-# the negative letter); group words as `a` / `a^-1`.  The empty word is
+# the negative letter) and other generators as `x1+` / `x1-`
+# (`Alphabet.letter_name`); group words as `a` / `a^-1`.  The empty word is
 # `<id>`.  Parsers accept `a^3` / `b^-2` power notation and are
 # whitespace tolerant.
 

@@ -1213,9 +1213,9 @@ class TestCompletionWork:
         reduce = rewriting._reduce
         logged = []
 
-        def log_free_reduce(w, system, skip=(), log=None, applied=None):
+        def log_free_reduce(w, system, skip=(), log=None, applied=None, **kw):
             logged.append(log is not None)
-            return reduce(w, system, skip, log, applied)
+            return reduce(w, system, skip, log, applied, **kw)
 
         with mock.patch.object(
             rewriting, "_index_automaton", wraps=rewriting._index_automaton
@@ -1504,3 +1504,127 @@ class TestLiveLookahead:
             }
             assert len(dist) == len(prefixes)
             assert {s: depth[s] for s in dist} == dist
+
+
+# -- scans started past a prefix that lists no rule --------------------------
+
+
+def scan_states(system, letters):
+    """The states after each prefix of ``letters`` read from the start,
+    up to the first state that lists a rule, which is left out."""
+    delta, out = system.automaton()[:2]
+    s, states = 0, [0]
+    for c in letters:
+        s = delta[s + c]
+        if out[s]:
+            break
+        states.append(s)
+    return states
+
+
+@cache
+def pass_systems(name):
+    """The system of every pass of the completion of ``name`` (``z64``,
+    ``d40`` or ``s5``), and every system interreduction builds with a new
+    rhs on an automaton it shares (``LoggedRewriteSystem.replaced``)."""
+    text = S5_TEXT if name == "s5" else PINNED[name][0]
+    shared = []
+    replaced = LoggedRewriteSystem.replaced
+
+    def record(self, old, new):
+        shared.append(replaced(self, old, new))
+        return shared[-1]
+
+    with mock.patch.object(LoggedRewriteSystem, "replaced", record):
+        report = complete_presentation(parse_presentation(text))
+    return [system for system, _ in report._harvest], shared
+
+
+class TestStartedScan:
+    """``_reduce`` started past a read prefix whose states list no rule
+    makes the rewrites of the scan from the start; completion starts the
+    scans of a critical pair's descendants past the states along the
+    primed rule's lhs prefix and rhs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_same_as_the_full_scan(self, data):
+        systems = {**REDUCE_SYSTEMS, **NESTED_SYSTEMS}
+        system = systems[data.draw(st.sampled_from(sorted(systems)))]
+        ids = [r.id for r in system.rules]
+        skip = set(data.draw(st.lists(st.sampled_from(ids), max_size=2)))
+        alphabet = system.presentation.alphabet
+        w = data.draw(
+            st.one_of(
+                sized_words_over(alphabet, 60),
+                # a rule's lhs or rhs and more: a long prefix that lists no rule
+                st.tuples(
+                    st.sampled_from(system.rules),
+                    st.booleans(),
+                    sized_words_over(alphabet, 8),
+                ).map(
+                    lambda t: MonoidWord(
+                        alphabet, (t[0].lhs if t[1] else t[0].rhs).letters + t[2].letters
+                    )
+                ),
+            )
+        )
+        states = scan_states(system, w.letters)
+        read = tuple(states[: data.draw(st.integers(1, len(states)))])
+        want_log, want_applied = [], set()
+        want = rewriting._reduce(w, system, skip, want_log, want_applied)
+        logged = data.draw(st.booleans())
+        got_log, got_applied = ([] if logged else None), set()
+        got = rewriting._reduce(w, system, skip, got_log, got_applied, read=read)
+        assert got == want
+        assert got_applied == want_applied
+        if logged:
+            assert got_log == want_log
+        # a step budget trips on the same rewrite, with the same word
+        budget = data.draw(st.integers(min_value=0, max_value=40))
+        outcomes = []
+        with mock.patch.object(rewriting, "REDUCE_MAX_STEPS", budget):
+            for start in ((0,), read):
+                try:
+                    outcomes.append(rewriting._reduce(w, system, skip, read=start))
+                except BudgetError as e:
+                    outcomes.append(str(e))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("name", ["z64", "d40", "s5"])
+    def test_descendants_of_every_overlap(self, name):
+        for system in pass_systems(name)[0]:
+            for o in find_overlaps(system):
+                lhs_path, rhs_path = system._rule_paths(o.rule_a)
+                rule = system._by_id[o.rule_a]
+                assert list(lhs_path) == scan_states(system, rule.lhs.letters)
+                assert list(rhs_path) == scan_states(system, rule.rhs.letters)
+                w, wprime = rewriting._descendants(o, system)
+                want, want_applied = [], set()
+                for word, read in ((w, lhs_path[: o.pos + 1]), (wprime, rhs_path)):
+                    full, started = set(), set()
+                    nf = rewriting._reduce(word, system, applied=full)
+                    assert rewriting._reduce(word, system, applied=started, read=read) == nf
+                    assert started == full
+                    want.append(nf)
+                    want_applied |= full
+                applied = set()
+                assert _normal_forms(o, system, applied) == tuple(want)
+                assert applied == want_applied
+
+    @pytest.mark.parametrize("name", ["z64", "d40", "s5"])
+    def test_cancels_is_the_pair_lookup(self, name):
+        """``cancels[c]`` is the id of the first rule listed at the state
+        after ``c c^-1`` when its plan is a pair rule, else 0, also in the
+        systems that share an automaton with a new rhs."""
+        passes, shared = pass_systems(name)
+        assert len(shared) == {"z64": 0, "d40": 1, "s5": 9}[name]
+        for system in passes + shared:
+            delta, out, _, _, cancels = system.automaton()
+            for c in system.presentation.alphabet.letters():
+                t = delta[delta[c] + (c ^ 1)]
+                want = 0
+                if out[t]:
+                    pair_id, _, _, is_pair, _ = system._first_plan(t)
+                    want = pair_id if is_pair else 0
+                assert cancels[c] == want

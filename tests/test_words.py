@@ -41,6 +41,18 @@ def monoid_words(alphabet=AB, max_size=12):
     ).map(lambda ls: MonoidWord(alphabet, ls))
 
 
+def assert_letters_read_back(alphabet):
+    """Every signed letter, rendered alone, parses back to itself or
+    raises ``WordError``: it never reads as another letter."""
+    for c in alphabet.letters():
+        text = render_monoid(MonoidWord(alphabet, [c]))
+        try:
+            back = parse_monoid(alphabet, text)
+        except WordError:
+            continue
+        assert back.letters == (c,), (alphabet, c, text)
+
+
 class TestAlphabet:
     def test_codes(self):
         assert AB.pos("a") == 0
@@ -56,6 +68,29 @@ class TestAlphabet:
         multi = Alphabet(["x1"])
         assert multi.letter_name(0) == "x1+"
         assert multi.letter_name(1) == "x1-"
+
+    # the uppercase of ``ı`` is ``I``, which is read as i^-1, and that of
+    # ``ß`` is ``SS``, which is read as s^-1 s^-1
+    @pytest.mark.parametrize(
+        "names", [["ı", "i", "s"], ["ß", "s"], ["ª", "a"], ["é", "x1", "ǅ"]]
+    )
+    def test_rendered_letters_read_back(self, names):
+        assert_letters_read_back(Alphabet(names))
+
+    @given(
+        st.lists(
+            st.characters(categories=["Ll", "Lm", "Lo", "Lt", "Lu"]),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    def test_rendered_letters_read_back_drawn(self, names):
+        try:
+            alphabet = Alphabet(names)
+        except WordError:  # a single uppercase letter
+            return
+        assert_letters_read_back(alphabet)
 
     def test_invalid(self):
         with pytest.raises(WordError):
