@@ -79,17 +79,7 @@ def _syllable_key(letters: tuple, order: tuple) -> tuple:
 
 
 def parse_letter_order(alphabet: Alphabet, items: Sequence[str]) -> tuple[int, ...]:
-    """Parse letter names like ``a+``, ``a-`` (or ``a`` / ``A``), least
-    first, into codes; ``OrderSpec`` checks that they are a permutation."""
-    codes: list[int] = []
-    for item in items:
-        item = item.strip()
-        if item.endswith("+"):
-            codes.append(alphabet.pos(item[:-1]))
-        elif item.endswith("-"):
-            codes.append(alphabet.neg(item[:-1]))
-        elif len(item) == 1 and item.isupper():
-            codes.append(alphabet.neg(item.lower()))
-        else:
-            codes.append(alphabet.pos(item))
-    return tuple(codes)
+    """Parse signed letters, least first, into codes: each item is a
+    spelling ``Alphabet.code`` reads, such as ``a+``, ``a-``, ``a``, ``A``
+    or ``x1-``; ``OrderSpec`` checks that they are a permutation."""
+    return tuple(alphabet.code(item.strip()) for item in items)

@@ -81,9 +81,9 @@ class LoggedRule:
     it: a formed rule's log never is, since its boundary is
     lhs rhs^-1 != 1.
 
-    ``plan`` is what a rewrite by the rule needs (``_reduce``): ``(id,
-    lhs length, rhs letters, pair, logged)``, where ``pair`` says the
-    rule is ``x x^-1 -> 1`` with an empty log.  A logged rewrite reads
+    ``plan`` is what a rewrite by the rule needs (``_reduce``): ``(lhs
+    length, rhs letters, pair, logged)``, where ``pair`` says the rule
+    is ``x x^-1 -> 1`` with an empty log.  A logged rewrite reads
     the terms of ``log`` as they are: each holds its conjugator's
     letters (``YTerm``), so no second copy of the log is kept.
     """
@@ -138,7 +138,7 @@ def _init_rule(
     pair = not (logged or r) and len(l) == 2 and l[1] == l[0] ^ 1
     for name, value in (
         ("lhs", lhs), ("rhs", rhs), ("id", rule_id), ("logged", logged),
-        ("plan", (rule_id, len(l), r, pair, logged)),
+        ("plan", (len(l), r, pair, logged)),
         ("_log", log), ("_recipe", recipe),
     ):
         object.__setattr__(rule, name, value)
@@ -188,12 +188,12 @@ class LoggedRewriteSystem:
     constructor sorts the rules and indexes them by id; the index
     automaton that ``_reduce`` scans on is built on the first reduction
     (``automaton``).  ``complete`` is set by completion once every
-    overlap of the rules resolves.  ``_first`` maps each automaton state
-    a reduction has stopped at to the plan of the first rule the state
-    lists (``_first_plan``).  Beside it, ``_paths`` maps the id of each
-    rule whose overlaps have been decided to the automaton states read
-    along its lhs and its rhs (``_rule_paths``), where the scans of the
-    overlap's descendants start (``_normal_forms``)."""
+    overlap of the rules resolves.  ``_paths`` maps the id of each rule
+    whose overlaps have been decided to the automaton states read along
+    its lhs and its rhs (``_rule_paths``), where the scans of the
+    overlap's descendants start (``_normal_forms``).  A system keeps no
+    plan and no log of its own: a rewrite reads those of its rule,
+    found by id (``_by_id``)."""
 
     def __init__(self, presentation: Presentation, rules: Iterable[LoggedRule]):
         self.presentation = presentation
@@ -201,7 +201,6 @@ class LoggedRewriteSystem:
         self.complete = False
         self._by_id = {rule.id: rule for rule in self.rules}
         self._dfa: Optional[tuple[list[int], list, bool, list[int], list[int]]] = None
-        self._first: dict[int, tuple] = {}
         self._paths: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     def rules_by_id(self) -> list[LoggedRule]:
@@ -252,12 +251,6 @@ class LoggedRewriteSystem:
             )
         return self._dfa
 
-    def _first_plan(self, state: int) -> tuple:
-        """The plan of the first rule ``automaton()`` lists at ``state``,
-        which must list one."""
-        plan = self._first[state] = self._by_id[self.automaton()[1][state][0][0]].plan
-        return plan
-
     def _rule_paths(self, rule_id: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The automaton states after each prefix of the lhs, and of the
         rhs, of rule ``rule_id``, read from the start: ``path[i]`` is the
@@ -296,7 +289,7 @@ def _index_automaton(
                 out.extend([()] * width)
                 depth.extend([depth[s] + 1] * width)
             s = t
-        if not out[s] and rule.plan[3]:  # the first rule listed at x x^-1
+        if not out[s] and rule.plan[2]:  # the first rule listed at x x^-1
             cancels[rule.lhs.letters[0]] = rule.id
         out[s] += ((rule.id, len(rule.lhs.letters)),)
     nested = False
@@ -399,11 +392,9 @@ def _reduce(
     one letter past the end of the longest lhs that could start at the
     candidate's start; it usually stops one letter after the candidate.
 
-    What a rewrite needs of its rule is the rule's ``plan``: a reduction
-    that skips no rule takes the plan of the first rule its state lists
-    (``LoggedRewriteSystem._first_plan``), and one that skips rules, or
-    reads on in a nested system, takes the plan of the rule it chose by
-    id.  A logged rewrite reads the rule's ``log``.
+    What a rewrite needs of its rule is the rule's ``plan``, read once,
+    by id, after the rewrite is chosen: the candidate, or the least
+    match the read-on found.  A logged rewrite reads the rule's ``log``.
 
     A rewrite at ``pos`` leaves ``word[:pos]`` alone, and no match lies
     inside it, since none starts before ``pos``; so the stack is cut
@@ -451,7 +442,7 @@ def _reduce(
     max_steps, max_len = REDUCE_MAX_STEPS, REDUCE_MAX_WORD_LEN
     word = list(w.letters)
     delta, out, nested, depth, cancels = sys.automaton()
-    by_id, first = sys._by_id, sys._first
+    by_id = sys._by_id
     states = list(read)
     inv: list[int] = []
     undo: list[int] = []
@@ -468,17 +459,12 @@ def _reduce(
             states.append(s)
             j += 1
             if out[s]:
-                if not skip:
-                    plan = first.get(s) or sys._first_plan(s)
-                    break
-                for hit, _ in out[s]:
-                    if hit not in skip:
+                for rid, length in out[s]:
+                    if rid not in skip:
                         break
                 else:
                     continue
-                plan = by_id[hit].plan
                 break
-        rid, length, rhs, pair, logged = plan
         pos = j - length
         if nested:  # read on while the live prefix starts by the candidate's
             while j < n and j - depth[s] <= pos:
@@ -490,8 +476,7 @@ def _reduce(
                         if (j - hit_length, hit) < (pos, rid):
                             rid, pos = hit, j - hit_length
                         break
-            if rid != plan[0]:
-                rid, length, rhs, pair, logged = by_id[rid].plan
+        length, rhs, pair, logged = by_id[rid].plan
         steps += 1
         if steps > max_steps:
             now = _monoid_word(alphabet, tuple(word))

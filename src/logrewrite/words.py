@@ -54,6 +54,20 @@ class Alphabet:
                 )
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
+        # each signed letter's printed form (`letter_name`), and the code of
+        # every spelling the parsers read (`code`)
+        printed: list[str] = []
+        self._codes: dict[str, int] = {}
+        for i, name in enumerate(names):
+            upper = name.upper()
+            if len(upper) == 1 and upper.isupper() and upper.lower() == name:
+                printed += [name, upper]
+                self._codes[upper] = 2 * i + 1
+            else:
+                printed += [name + "+", name + "-"]
+            self._codes.update({name: 2 * i, name + "+": 2 * i, name + "-": 2 * i + 1})
+        self._printed = tuple(printed)
+        self._separator = "" if all(len(t) == 1 for t in printed) else " "
 
     def __len__(self) -> int:
         return len(self.names)
@@ -73,11 +87,16 @@ class Alphabet:
         except KeyError:
             raise WordError(f"unknown generator {name!r}") from None
 
-    def pos(self, name: str) -> int:
-        return 2 * self.index(name)
-
-    def neg(self, name: str) -> int:
-        return 2 * self.index(name) + 1
+    def code(self, spelling: str) -> int:
+        """The code of the signed letter ``spelling``: ``a`` / ``A`` for a
+        generator ``letter_name`` prints that way, and ``name`` /
+        ``name+`` / ``name-`` for any generator.  Any other spelling
+        raises ``WordError``."""
+        try:
+            return self._codes[spelling]
+        except KeyError:
+            name = spelling[:-1] if spelling[1:] and spelling[-1] in "+-" else spelling
+            raise WordError(f"unknown generator {name!r}") from None
 
     def letters(self) -> range:
         """All signed letter codes, declaration order, positive first."""
@@ -85,15 +104,12 @@ class Alphabet:
 
     def letter_name(self, code: int) -> str:
         """The name of a signed letter as ``render_monoid`` prints it: ``a``
-        and ``A`` for a one-letter generator whose uppercase form the
-        parser reads back as its inverse, else ``name+`` and ``name-``.
-        ``ı`` (uppercase ``I``, the inverse of ``i``) and ``ß`` (uppercase
-        ``SS``) take the second form."""
-        name = self.names[code >> 1]
-        upper = name.upper()
-        if len(upper) == 1 and upper.isupper() and upper.lower() == name:
-            return upper if code & 1 else name
-        return name + ("-" if code & 1 else "+")
+        and ``A`` for a one-letter generator whose uppercase is one
+        uppercase letter that lowercases back to it, else ``name+`` and
+        ``name-``.  ``ı`` (uppercase ``I``, the inverse of ``i``) and
+        ``ß`` (uppercase ``SS``) take the second form.  Every name reads
+        back as its letter (``code``)."""
+        return self._printed[code]
 
 
 class _Word:
@@ -235,17 +251,22 @@ def inverse(w: GroupWord) -> GroupWord:
 
 # -- textual rendering and parsing -------------------------------------------
 #
-# Monoid words render single-letter generators as `a` / `A` (uppercase for
-# the negative letter) and other generators as `x1+` / `x1-`
-# (`Alphabet.letter_name`); group words as `a` / `a^-1`.  The empty word is
-# `<id>`.  Parsers accept `a^3` / `b^-2` power notation and are
-# whitespace tolerant.
+# Monoid words print each letter as `Alphabet.letter_name` names it: `a` /
+# `A` (uppercase for the negative letter) for a one-letter generator, and
+# `x1+` / `x1-` for other generators.  The letters are joined with nothing
+# when every letter of the alphabet prints as one character (`aaB`), and
+# with a space otherwise (`x1+ x1+ Y Y`), so every printed word reads back.
+# Group words print as `a` / `a^-1`.  The empty word is `<id>`.  Parsers
+# read every spelling of `Alphabet.code`, `a^3` / `b^-2` power notation and
+# the compact form `aaB` (one-character spellings), and are whitespace
+# tolerant.
 
 
 def render_monoid(w: MonoidWord) -> str:
     if not w.letters:
         return "<id>"
-    return "".join(w.alphabet.letter_name(c) for c in w.letters)
+    al = w.alphabet
+    return al._separator.join([al._printed[c] for c in w.letters])
 
 
 def render_group(w: GroupWord) -> str:
@@ -259,7 +280,7 @@ def render_group(w: GroupWord) -> str:
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
-    """Split into (name, exponent) tokens; `A` means (a, -1) for 1-char names."""
+    """Split into (spelling, exponent) tokens."""
     tokens: list[tuple[str, int]] = []
     for raw in text.replace("*", " ").split():
         if raw == "<id>":
@@ -273,9 +294,6 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
             if not re.fullmatch(r"[+-]?[0-9]+", exp_text):
                 raise WordError(f"bad exponent in {raw!r}")
             exp = int(exp_text)
-        if len(name) == 1 and name.isupper():
-            name = name.lower()
-            exp = -exp
         tokens.append((name, exp))
     return tokens
 
@@ -283,19 +301,15 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 def _token_letters(alphabet: Alphabet, tokens: list[tuple[str, int]]) -> list[int]:
     letters: list[int] = []
     for name, exp in tokens:
-        compact = name not in alphabet._index and exp == 1 and len(name) > 1
+        compact = name not in alphabet._codes and exp == 1 and len(name) > 1
         # tested before the letters are made: `a^1000000000` is a short text
         if len(letters) + (len(name) if compact else abs(exp)) > MAX_PARSED_LETTERS:
             raise WordError(f"a parsed word is limited to {MAX_PARSED_LETTERS} letters")
-        if compact:
-            # compact form over 1-char generators, e.g. `aaB`
-            for ch in name:
-                low = ch.lower()
-                code = alphabet.pos(low) if ch.islower() else alphabet.neg(low)
-                letters.append(code)
+        if compact:  # one-character spellings run together, e.g. `aaB`
+            letters.extend([alphabet.code(ch) for ch in name])
             continue
-        code = alphabet.pos(name) if exp >= 0 else alphabet.neg(name)
-        letters.extend([code] * abs(exp))
+        code = alphabet.code(name)
+        letters.extend([code ^ 1 if exp < 0 else code] * abs(exp))
     return letters
 
 

@@ -4,9 +4,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from logrewrite import words
+from logrewrite.orderings import parse_letter_order
 from logrewrite.words import (
     Alphabet,
     GroupWord,
@@ -42,23 +43,25 @@ def monoid_words(alphabet=AB, max_size=12):
 
 
 def assert_letters_read_back(alphabet):
-    """Every signed letter, rendered alone, parses back to itself or
-    raises ``WordError``: it never reads as another letter."""
+    """Every signed letter, rendered alone, parses back to itself."""
     for c in alphabet.letters():
         text = render_monoid(MonoidWord(alphabet, [c]))
-        try:
-            back = parse_monoid(alphabet, text)
-        except WordError:
-            continue
-        assert back.letters == (c,), (alphabet, c, text)
+        assert parse_monoid(alphabet, text).letters == (c,), (alphabet, c, text)
+
+
+# generator names: single letters of any case and script, alphanumeric
+# names, and the names whose printed forms once read back wrongly
+GENERATOR_NAMES = st.one_of(
+    st.characters(categories=["Ll", "Lm", "Lo", "Lt", "Lu"]),
+    st.from_regex(r"[A-Za-z][A-Za-z0-9]{0,2}", fullmatch=True),
+    st.sampled_from(["ı", "i", "s", "ß", "ª", "a", "é", "x1", "ǅ", "Ab"]),
+)
 
 
 class TestAlphabet:
     def test_codes(self):
-        assert AB.pos("a") == 0
-        assert AB.neg("a") == 1
-        assert AB.pos("b") == 2
-        assert AB.neg("b") == 3
+        assert [AB.code(t) for t in ("a", "A", "b", "B")] == [0, 1, 2, 3]
+        assert [AB.code(t) for t in ("a+", "a-", "b+", "b-")] == [0, 1, 2, 3]
         assert list(AB.letters()) == [0, 1, 2, 3]
 
     def test_letter_names(self):
@@ -91,6 +94,33 @@ class TestAlphabet:
         except WordError:  # a single uppercase letter
             return
         assert_letters_read_back(alphabet)
+
+    def test_printed_words_read_back_over_a_name_of_printed_letters(self):
+        """Over ``a, b, Ab``, a^-1 b prints as two letters, not as the
+        generator ``Ab``."""
+        al = Alphabet(["a", "b", "Ab"])
+        w = MonoidWord(al, (1, 2))
+        assert render_monoid(w) == "A b"
+        assert parse_monoid(al, render_monoid(w)) == w
+
+    def test_multi_letter_names_print_spaced(self):
+        al = Alphabet(["x1", "y"])
+        w = MonoidWord(al, (0, 0, 3, 3))
+        assert render_monoid(w) == "x1+ x1+ Y Y"
+        assert parse_monoid(al, render_monoid(w)) == w
+        assert render_monoid(MonoidWord(AB, (0, 0, 3))) == "aaB"
+
+    @given(st.lists(GENERATOR_NAMES, min_size=1, max_size=4, unique=True), st.data())
+    def test_printed_words_and_letter_orders_read_back(self, names, data):
+        try:
+            al = Alphabet(names)
+        except WordError:  # a single uppercase letter
+            assume(False)
+        n = 2 * len(al)
+        w = MonoidWord(al, data.draw(st.lists(st.integers(0, n - 1), max_size=8)))
+        assert parse_monoid(al, render_monoid(w)) == w
+        perm = tuple(data.draw(st.permutations(range(n))))
+        assert parse_letter_order(al, [al.letter_name(c) for c in perm]) == perm
 
     def test_invalid(self):
         with pytest.raises(WordError):
